@@ -1,4 +1,4 @@
-//! Ablation study over the framework's design choices (DESIGN.md §3):
+//! Ablation study over the framework's design choices:
 //!
 //! * depth-limited local complementation (l = 8 vs l = 0);
 //! * weight-minimal generator selection vs vanilla Li-et-al. selection;

@@ -18,7 +18,8 @@ use std::process::ExitCode;
 
 use epgs::{CompileObjective, Pipeline, RecombineStrategy};
 use epgs_bench::corpus_framework;
-use epgs_corpus::{CorpusSpec, Value};
+use epgs_corpus::json::Writer;
+use epgs_corpus::CorpusSpec;
 use epgs_hardware::HardwareModel;
 
 /// One compiled point of the sweep.
@@ -129,17 +130,21 @@ fn main() -> ExitCode {
     );
 
     let base_config = corpus_framework().config().clone();
-    let mut doc = String::from("{\"corpus\":\"default\",\"objective\":\"duration\",\"presets\":[");
-    for (i, (key, _)) in presets.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&Value::Str(key.clone()).to_string());
+    let mut w = Writer::new();
+    w.begin_obj();
+    w.field_str("corpus", "default");
+    w.field_str("objective", "duration");
+    w.key("presets");
+    w.begin_arr();
+    for (key, _) in &presets {
+        w.string(key);
     }
-    doc.push_str("],\"instances\":[");
+    w.end_arr();
+    w.key("instances");
+    w.begin_arr();
 
     let mut divergent_instances = 0usize;
-    for (idx, inst) in instances.iter().enumerate() {
+    for inst in &instances {
         let mut points: Vec<Point> = Vec::new();
         for (key, hw) in &presets {
             // One pipeline per preset: the `Planned` prefix is computed
@@ -226,43 +231,34 @@ fn main() -> ExitCode {
             }
         );
 
-        if idx > 0 {
-            doc.push(',');
+        w.begin_obj();
+        w.field_str("id", &inst.id);
+        w.field_str("family", &inst.family);
+        w.field_uint("vertices", inst.graph.vertex_count() as u64);
+        w.field_bool("strategy_divergence", divergent);
+        w.key("points");
+        w.begin_arr();
+        for p in &points {
+            w.begin_obj();
+            w.field_str("preset", &p.preset);
+            w.field_uint("ne_min", p.ne_min as u64);
+            w.field_uint("budget", p.budget as u64);
+            w.field_uint("peak_emitters", p.peak_emitters as u64);
+            w.field_uint("ee_cnots", p.ee_cnots as u64);
+            w.field_fixed("duration", p.duration, 4);
+            w.field_fixed("t_loss", p.t_loss, 4);
+            w.field_fixed("mean_photon_loss", p.mean_photon_loss, 6);
+            w.field_fixed("any_photon_loss", p.any_photon_loss, 6);
+            w.field_str("strategy", &format!("{:?}", p.strategy));
+            w.field_bool("pareto", p.pareto);
+            w.end_obj();
         }
-        // Dynamic strings go through the corpus JSON layer's escaper so
-        // this stays valid JSON whatever future ids/keys contain.
-        doc.push_str(&format!(
-            "{{\"id\":{},\"family\":{},\"vertices\":{},\
-             \"strategy_divergence\":{divergent},\"points\":[",
-            Value::Str(inst.id.clone()),
-            Value::Str(inst.family.clone()),
-            inst.graph.vertex_count(),
-        ));
-        for (i, p) in points.iter().enumerate() {
-            if i > 0 {
-                doc.push(',');
-            }
-            doc.push_str(&format!(
-                "{{\"preset\":{},\"ne_min\":{},\"budget\":{},\"peak_emitters\":{},\
-                 \"ee_cnots\":{},\
-                 \"duration\":{:.4},\"t_loss\":{:.4},\"mean_photon_loss\":{:.6},\
-                 \"any_photon_loss\":{:.6},\"strategy\":{},\"pareto\":{}}}",
-                Value::Str(p.preset.clone()),
-                p.ne_min,
-                p.budget,
-                p.peak_emitters,
-                p.ee_cnots,
-                p.duration,
-                p.t_loss,
-                p.mean_photon_loss,
-                p.any_photon_loss,
-                Value::Str(format!("{:?}", p.strategy)),
-                p.pareto,
-            ));
-        }
-        doc.push_str("]}");
+        w.end_arr();
+        w.end_obj();
     }
-    doc.push_str("]}");
+    w.end_arr();
+    w.end_obj();
+    let doc = w.finish();
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = fs::create_dir_all(dir);

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use epgs_bench::{bench_framework, flat_framework, STAGES};
-use epgs_corpus::Value;
+use epgs_corpus::json::{Value, Writer};
 use epgs_graph::generators;
 use epgs_partition::{multilevel_partition_traced, PartitionScheme};
 use epgs_solver::reverse::{solve_with_ordering_in, SolveOptions, SolverWorkspace};
@@ -112,16 +112,25 @@ fn main() -> ExitCode {
         "{:>7} {:>12} {:>12} {:>12}",
         "#qubit", "orderings", "best CNOT", "seconds"
     );
-    let mut exhaustive_entries = Vec::new();
+    let mut w = Writer::new();
+    w.begin_obj();
+    w.field_str("bench", "runtime");
+    w.field_str("mode", if smoke { "smoke" } else { "full" });
+    w.key("exhaustive");
+    w.begin_arr();
     for &n in exhaustive_sizes {
         let t0 = Instant::now();
         let (best, tried) = exhaustive(n);
         let dt = t0.elapsed().as_secs_f64();
         println!("{n:>7} {tried:>12} {best:>12} {dt:>12.2}");
-        exhaustive_entries.push(format!(
-            "{{\"n\":{n},\"orderings\":{tried},\"best_ee_cnots\":{best},\"seconds\":{dt:.4}}}"
-        ));
+        w.begin_obj();
+        w.field_uint("n", n as u64);
+        w.field_uint("orderings", tried as u64);
+        w.field_uint("best_ee_cnots", best as u64);
+        w.field_fixed("seconds", dt, 4);
+        w.end_obj();
     }
+    w.end_arr();
     println!("(n! growth: already >10³ s well before 12 qubits — the paper's Challenge 1)\n");
 
     println!("== framework compilation (divide-and-conquer) ==");
@@ -131,7 +140,8 @@ fn main() -> ExitCode {
     );
     let fw = bench_framework();
     let pipeline = fw.pipeline();
-    let mut framework_entries = Vec::new();
+    w.key("framework");
+    w.begin_arr();
     for &n in framework_sizes {
         let g = generators::path(n);
         let t0 = Instant::now();
@@ -174,37 +184,44 @@ fn main() -> ExitCode {
             "{n:>7} {ee:>9} {total:>9.2} {t_partition:>9.2} {t_plan:>9.2} {t_schedule:>9.2} \
              {t_recombine:>9.2} {t_verify:>9.2}"
         );
+        w.begin_obj();
+        w.field_uint("n", n as u64);
+        w.field_uint("ee_cnots", ee as u64);
+        w.field_fixed("seconds", total, 4);
+        w.key("stages");
+        w.begin_obj();
+        let stage_secs = [t_partition, t_plan, t_schedule, t_recombine, t_verify];
+        for (stage, secs) in STAGES.iter().zip(stage_secs) {
+            w.field_fixed(stage, secs, 4);
+        }
+        w.end_obj();
         // Per-level engine trace: one direct multilevel run with the same
         // spec arguments the LC search forwards, so the trajectory shows
         // where inside the V-cycle each size spends its time.
         let spec = &pipeline.config().partition;
-        let levels_json = match &spec.scheme {
-            PartitionScheme::Multilevel(opts) => {
-                let (_, _, trace) = multilevel_partition_traced(
-                    &g,
-                    spec.num_blocks(n),
-                    spec.g_max,
-                    spec.effort.max(2),
-                    spec.seed,
-                    opts,
-                );
-                let levels: Vec<String> = trace
-                    .iter()
-                    .map(|l| {
-                        format!(
-                            "{{\"vertices\":{},\"edges\":{},\"seconds\":{:.6}}}",
-                            l.vertices, l.edges, l.seconds
-                        )
-                    })
-                    .collect();
-                format!(",\"partition_levels\":[{}]", levels.join(","))
+        if spec.scheme == PartitionScheme::Multilevel {
+            let (_, _, trace) = multilevel_partition_traced(
+                &g,
+                spec.num_blocks(n),
+                spec.g_max,
+                spec.effort.max(2),
+                spec.seed,
+            );
+            w.key("partition_levels");
+            w.begin_arr();
+            for level in &trace {
+                w.begin_obj();
+                w.field_uint("vertices", level.vertices as u64);
+                w.field_uint("edges", level.edges as u64);
+                w.field_fixed("seconds", level.seconds, 6);
+                w.end_obj();
             }
-            PartitionScheme::Flat => String::new(),
-        };
+            w.end_arr();
+        }
         // Headline comparison: re-time the partition stage under the flat
         // scheme at one size so the committed trajectory itself shows the
         // speedup, measured on the same machine in the same run.
-        let flat_json = if !smoke && n == FLAT_COMPARE_N {
+        if !smoke && n == FLAT_COMPARE_N {
             let flat_fw = flat_framework();
             let flat_pipeline = flat_fw.pipeline();
             let t0 = Instant::now();
@@ -212,24 +229,16 @@ fn main() -> ExitCode {
             let t_flat = t0.elapsed().as_secs_f64();
             let speedup = t_flat / t_partition.max(1e-9);
             println!("        (flat partition at n={n}: {t_flat:.2}s → {speedup:.1}x speedup)");
-            format!(",\"flat_partition_seconds\":{t_flat:.4},\"partition_speedup\":{speedup:.2}")
-        } else {
-            String::new()
-        };
-        framework_entries.push(format!(
-            "{{\"n\":{n},\"ee_cnots\":{ee},\"seconds\":{total:.4},\"stages\":{{\
-             \"partition\":{t_partition:.4},\"plan\":{t_plan:.4},\"schedule\":{t_schedule:.4},\
-             \"recombine\":{t_recombine:.4},\"verify\":{t_verify:.4}}}{levels_json}{flat_json}}}"
-        ));
+            w.field_fixed("flat_partition_seconds", t_flat, 4);
+            w.field_fixed("partition_speedup", speedup, 2);
+        }
+        w.end_obj();
     }
+    w.end_arr();
+    w.end_obj();
     println!("(polynomial: entire 100-qubit compile, verification included, in seconds)");
 
-    let doc = format!(
-        "{{\"bench\":\"runtime\",\"mode\":{},\"exhaustive\":[{}],\"framework\":[{}]}}",
-        Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-        exhaustive_entries.join(","),
-        framework_entries.join(",")
-    );
+    let doc = w.finish();
     if let Err(e) = fs::write(&out_path, &doc) {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

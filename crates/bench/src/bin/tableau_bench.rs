@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use epgs::{BatchCompiler, BatchInstance};
 use epgs_bench::{corpus_framework, SEED};
-use epgs_corpus::{CorpusSpec, Value};
+use epgs_corpus::json::{Value, Writer};
+use epgs_corpus::CorpusSpec;
 use epgs_graph::generators;
 use epgs_graph::gf2::{kernels, BitMatrix};
 use epgs_stabilizer::reference::RefTableau;
@@ -158,12 +159,12 @@ fn bench_size(n: usize, rounds: usize) -> Vec<ClassResult> {
 /// Measures the GF(2) kernel pairs directly: the Four-Russians blocked RREF
 /// against the retained word-loop oracle on the solver's constraint shapes
 /// (`2n×(n+1)` deterministic-sign systems), and the 4-lane word kernels
-/// against their scalar twins on bulk vectors. Returns JSON entries for the
-/// trajectory's `kernels` array.
-fn bench_kernels(smoke: bool) -> Vec<String> {
+/// against their scalar twins on bulk vectors. Appends one entry per
+/// measurement to the open `kernels` array of `w` and returns how many.
+fn bench_kernels(w: &mut Writer, smoke: bool) -> usize {
     use std::hint::black_box;
     println!("\n== gf2 kernels (blocked vs retained scalar oracle) ==");
-    let mut entries = Vec::new();
+    let mut entries = 0;
     let mut rng = StdRng::seed_from_u64(SEED);
     // The smoke shape is the first full shape so the guard's ratio
     // comparison stays live on CI runs against the committed trajectory.
@@ -213,9 +214,15 @@ fn bench_kernels(smoke: bool) -> Vec<String> {
         println!(
             "rref {rows:>4}x{cols:<4} wordloop {scalar_ms:>8.4} ms  blocked {blocked_ms:>8.4} ms  {speedup:>5.2}x"
         );
-        entries.push(format!(
-            "{{\"op\":\"rref\",\"rows\":{rows},\"cols\":{cols},\"scalar_ms\":{scalar_ms:.5},\"blocked_ms\":{blocked_ms:.5},\"speedup\":{speedup:.2}}}"
-        ));
+        w.begin_obj();
+        w.field_str("op", "rref");
+        w.field_uint("rows", rows as u64);
+        w.field_uint("cols", cols as u64);
+        w.field_fixed("scalar_ms", scalar_ms, 5);
+        w.field_fixed("blocked_ms", blocked_ms, 5);
+        w.field_fixed("speedup", speedup, 2);
+        w.end_obj();
+        entries += 1;
     }
     // Bulk word kernels, each at the smallest width its blocked variant
     // dispatches at (xor from 16 words; parity from its own higher cutoff —
@@ -257,9 +264,14 @@ fn bench_kernels(smoke: bool) -> Vec<String> {
         println!(
             "{op:>10} {words}w   scalar {scalar_mops:>8.1} Mop/s  blocked {blocked_mops:>8.1} Mop/s  {speedup:>5.2}x"
         );
-        entries.push(format!(
-            "{{\"op\":\"{op}\",\"words\":{words},\"scalar_mops\":{scalar_mops:.1},\"blocked_mops\":{blocked_mops:.1},\"speedup\":{speedup:.2}}}"
-        ));
+        w.begin_obj();
+        w.field_str("op", op);
+        w.field_uint("words", words as u64);
+        w.field_fixed("scalar_mops", scalar_mops, 1);
+        w.field_fixed("blocked_mops", blocked_mops, 1);
+        w.field_fixed("speedup", speedup, 2);
+        w.end_obj();
+        entries += 1;
     }
     entries
 }
@@ -304,7 +316,13 @@ fn main() -> ExitCode {
         "{:>5} {:>9} {:>12} {:>12} {:>9}",
         "n", "class", "ref Mop/s", "new Mop/s", "speedup"
     );
-    let mut size_entries = Vec::new();
+    let mut w = Writer::new();
+    w.begin_obj();
+    w.field_str("bench", "tableau");
+    w.field_str("mode", if smoke { "smoke" } else { "full" });
+    w.field_uint("seed", SEED);
+    w.key("gate_throughput");
+    w.begin_arr();
     for &n in sizes {
         // Rounds sized so the scalar baseline runs tens of milliseconds.
         let rounds = if smoke {
@@ -323,32 +341,37 @@ fn main() -> ExitCode {
             );
         }
         println!("{n:>5} {:>9} {:>37.1}x", "geomean", geomean);
-        let classes_json: Vec<String> = results
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"class\":{},\"ref_mops\":{:.3},\"new_mops\":{:.3},\"speedup\":{:.2}}}",
-                    Value::Str(c.class.to_string()),
-                    c.ref_mops,
-                    c.new_mops,
-                    c.speedup
-                )
-            })
-            .collect();
-        size_entries.push(format!(
-            "{{\"n\":{n},\"rounds\":{rounds},\"geomean_speedup\":{geomean:.2},\"classes\":[{}]}}",
-            classes_json.join(",")
-        ));
+        w.begin_obj();
+        w.field_uint("n", n as u64);
+        w.field_uint("rounds", rounds as u64);
+        w.field_fixed("geomean_speedup", geomean, 2);
+        w.key("classes");
+        w.begin_arr();
+        for c in &results {
+            w.begin_obj();
+            w.field_str("class", c.class);
+            w.field_fixed("ref_mops", c.ref_mops, 3);
+            w.field_fixed("new_mops", c.new_mops, 3);
+            w.field_fixed("speedup", c.speedup, 2);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
     }
+    w.end_arr();
 
-    let kernel_entries = bench_kernels(smoke);
+    w.key("kernels");
+    w.begin_arr();
+    let kernel_entries = bench_kernels(&mut w, smoke);
+    w.end_arr();
 
     // Direct whole-graph solves: the tableau-dominated regime (no
     // partitioning), where the word-parallel engine and the shared
     // `rref_within` factorization show up end to end.
     println!("\n== direct reverse solves (lattice targets, verify on) ==");
     let solve_sizes: &[usize] = if smoke { &[16] } else { &[60, 120, 240] };
-    let mut solve_entries = Vec::new();
+    w.key("direct_solve");
+    w.begin_arr();
     for &n in solve_sizes {
         let g = generators::lattice(4, n / 4);
         let opts = epgs_solver::reverse::SolveOptions::default();
@@ -362,11 +385,13 @@ fn main() -> ExitCode {
         };
         let dt = t0.elapsed().as_secs_f64();
         println!("{n:>5} qubits: {dt:.3} s  emitters={}", solved.emitters);
-        solve_entries.push(format!(
-            "{{\"n\":{n},\"seconds\":{dt:.4},\"emitters\":{}}}",
-            solved.emitters
-        ));
+        w.begin_obj();
+        w.field_uint("n", n as u64);
+        w.field_fixed("seconds", dt, 4);
+        w.field_uint("emitters", solved.emitters as u64);
+        w.end_obj();
     }
+    w.end_arr();
 
     // End-to-end: one cold pass over the default corpus through the batch
     // engine (partition + leaf solve + schedule + recombine + verify).
@@ -402,34 +427,22 @@ fn main() -> ExitCode {
         )
     };
 
-    let mut doc = String::from("{\"bench\":\"tableau\",");
-    doc.push_str(&format!(
-        "\"mode\":{},\"seed\":{SEED},",
-        Value::Str(if smoke { "smoke" } else { "full" }.to_string())
-    ));
-    doc.push_str(&format!(
-        "\"gate_throughput\":[{}],",
-        size_entries.join(",")
-    ));
-    doc.push_str(&format!("\"kernels\":[{}],", kernel_entries.join(",")));
-    doc.push_str(&format!("\"direct_solve\":[{}],", solve_entries.join(",")));
-    doc.push_str(&format!(
-        "\"end_to_end\":{{\"corpus\":{},\"instances\":{instances},\"succeeded\":{succeeded},\"wall_micros\":{wall_micros},\"elapsed_micros\":{elapsed_micros}",
-        Value::Str(spec.name.clone())
-    ));
-    match corpus_baseline_micros {
-        Some(base) if wall_micros > 0 => {
-            doc.push_str(&format!(
-                ",\"baseline_wall_micros\":{base},\"wall_speedup\":{:.2}",
-                base as f64 / wall_micros as f64
-            ));
+    w.key("end_to_end");
+    w.begin_obj();
+    w.field_str("corpus", &spec.name);
+    w.field_uint("instances", instances as u64);
+    w.field_uint("succeeded", succeeded as u64);
+    w.field_uint("wall_micros", wall_micros as u64);
+    w.field_uint("elapsed_micros", elapsed_micros as u64);
+    if let Some(base) = corpus_baseline_micros {
+        w.field_uint("baseline_wall_micros", base);
+        if wall_micros > 0 {
+            w.field_fixed("wall_speedup", base as f64 / wall_micros as f64, 2);
         }
-        Some(base) => {
-            doc.push_str(&format!(",\"baseline_wall_micros\":{base}"));
-        }
-        None => {}
     }
-    doc.push_str("}}");
+    w.end_obj();
+    w.end_obj();
+    let doc = w.finish();
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = fs::create_dir_all(dir);
@@ -466,7 +479,7 @@ fn main() -> ExitCode {
         .map_or(0, <[Value]>::len);
     let well_formed = parsed.get("bench").and_then(Value::as_str) == Some("tableau")
         && gate_points == sizes.len()
-        && kernel_points == kernel_entries.len()
+        && kernel_points == kernel_entries
         && kernel_points > 0
         && parsed
             .get("end_to_end")

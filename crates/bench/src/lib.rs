@@ -86,19 +86,9 @@ pub fn bench_framework() -> Framework {
 /// the flat-vs-multilevel partition-stage speedup in the same run, on the
 /// same machine.
 pub fn flat_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 7,
-            lc_budget: 8,
-            effort: 8,
-            seed: SEED,
-            scheme: epgs_partition::PartitionScheme::Flat,
-        },
-        orderings_per_subgraph: 8,
-        flexible_slack: 2,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
+    let mut config = bench_framework().config().clone();
+    config.partition.scheme = epgs_partition::PartitionScheme::Flat;
+    Framework::new(config)
 }
 
 /// Framework configuration for corpus batch runs ([`bench_framework`] with

@@ -31,7 +31,7 @@ use epgs_corpus::json::Writer;
 use epgs_graph::canon::{canonical_hash, fnv1a_all};
 use epgs_graph::Graph;
 use epgs_hardware::{CompileObjective, HardwareModel};
-use epgs_partition::{FaultHook, InjectedFault, SearchControl};
+use epgs_partition::{multilevel, FaultHook, InjectedFault, SearchControl};
 
 use crate::config::{EmitterBudget, FrameworkConfig};
 use crate::error::FrameworkError;
@@ -86,15 +86,15 @@ pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
             .chain(hardware_words(hardware))
             .collect(),
     };
-    // Scheme discriminant plus every multilevel knob: two configs that can
-    // partition a graph differently must key cached artifacts apart.
+    // Scheme discriminant plus every multilevel constant: builds that can
+    // partition a graph differently must key persisted artifacts apart.
     let scheme_words: Vec<u64> = match &cfg.partition.scheme {
         epgs_partition::PartitionScheme::Flat => vec![1],
-        epgs_partition::PartitionScheme::Multilevel(opts) => vec![
+        epgs_partition::PartitionScheme::Multilevel => vec![
             2,
-            opts.coarsen_cutoff as u64,
-            opts.matching_rounds as u64,
-            opts.refine_passes as u64,
+            multilevel::COARSEN_CUTOFF as u64,
+            multilevel::MATCHING_ROUNDS as u64,
+            multilevel::REFINE_PASSES as u64,
         ],
     };
     let words = [

@@ -141,7 +141,7 @@ pub use batch::{
 };
 pub use config::{EmitterBudget, FrameworkConfig, FrameworkConfigBuilder};
 pub use epgs_hardware::{CompileObjective, ObjectiveFigures, ObjectiveScore};
-pub use epgs_partition::{MultilevelOptions, PartitionScheme, PartitionSpec};
+pub use epgs_partition::{PartitionScheme, PartitionSpec};
 pub use error::FrameworkError;
 pub use faults::{
     lock_recover, panic_message, FaultKind, FaultPlan, FaultRule, PlanError, PlanErrorKind,

@@ -88,7 +88,7 @@ pub fn partition_with_lc_controlled(
     let score = |graph: &Graph, salt: u64| -> (Vec<usize>, usize) {
         match &spec.scheme {
             PartitionScheme::Flat => flat(graph, salt),
-            PartitionScheme::Multilevel(opts) => {
+            PartitionScheme::Multilevel => {
                 let injected = ctrl.multilevel_fault.as_ref().and_then(|hook| hook());
                 match injected {
                     Some(InjectedFault::Fail) => {
@@ -110,7 +110,6 @@ pub fn partition_with_lc_controlled(
                         spec.g_max,
                         spec.effort.max(2),
                         spec.seed ^ salt,
-                        opts,
                     )
                 }));
                 attempt.unwrap_or_else(|_| {
@@ -359,7 +358,7 @@ mod tests {
             lc_budget: 2,
             effort: 5,
             seed: 3,
-            scheme: PartitionScheme::Multilevel(crate::MultilevelOptions::default()),
+            scheme: PartitionScheme::Multilevel,
         };
         let calls = Arc::new(AtomicUsize::new(0));
         let calls_in_hook = Arc::clone(&calls);

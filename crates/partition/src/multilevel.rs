@@ -7,17 +7,16 @@
 //!
 //! 1. **Coarsen** — deterministic seeded heavy-edge matching folds matched
 //!    vertex pairs into weighted coarse vertices (edge weights accumulate
-//!    multiplicities) until the graph fits under
-//!    [`MultilevelOptions::coarsen_cutoff`]. Each level tries
-//!    [`MultilevelOptions::matching_rounds`] seeded matchings and keeps the
-//!    one with the fewest coarse vertices (ties: first tried), so the
-//!    hierarchy is a pure function of `(graph, g_max, seed, options)`.
+//!    multiplicities) until the graph fits under [`COARSEN_CUTOFF`]. Each
+//!    level tries [`MATCHING_ROUNDS`] seeded matchings and keeps the one
+//!    with the fewest coarse vertices (ties: first tried), so the hierarchy
+//!    is a pure function of `(graph, g_max, seed)`.
 //! 2. **Initial partition** — the coarse graph is tiny; a weighted
 //!    branch-and-bound (the weighted counterpart of
 //!    [`crate::exact::exact_min_cut`], same symmetry breaking) solves it
 //!    exactly when it has ≤ [`EXACT_LIMIT`] vertices, otherwise a greedy
-//!    weighted placement polished by a short Metropolis walk (the weighted
-//!    counterpart of [`mod@crate::anneal`]) seeds the refinement.
+//!    weighted placement polished by a short Metropolis walk seeds the
+//!    refinement.
 //! 3. **Uncoarsen** — the assignment is projected level by level
 //!    (`fine[v] = coarse[map[v]]`) and refined at every level: a rebalance
 //!    drain restores the capacity bound, then boundary move passes compute
@@ -35,8 +34,12 @@
 //! always have room, so the drain provably terminates with every block at or
 //! under `g_max` — the returned partition is strictly feasible.
 //!
-//! Graphs at or below `coarsen_cutoff` delegate to [`fm_partition`] with
+//! Graphs at or below [`COARSEN_CUTOFF`] delegate to [`fm_partition`] with
 //! identical arguments, reproducing the flat scheme byte for byte there.
+//!
+//! The scheme's three effort knobs are constants: every caller ran them at
+//! one setting, and a knob that never varies cannot be measured. They enter
+//! `epgs::config_fingerprint`, so changing one re-keys cached artifacts.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +48,18 @@ use rayon::prelude::*;
 use epgs_graph::{metrics, Graph};
 
 use crate::fm::fm_partition;
-use crate::spec::MultilevelOptions;
+
+/// Stop coarsening (and skip the scheme entirely) at or below this many
+/// vertices: small graphs are partitioned directly by the flat FM search,
+/// which is already fast there and exactly reproduces the flat scheme.
+pub const COARSEN_CUTOFF: usize = 48;
+
+/// Seeded heavy-edge matchings tried per coarsening level; the one producing
+/// the fewest coarse vertices wins (ties: first tried).
+pub const MATCHING_ROUNDS: usize = 1;
+
+/// Refinement iterations per level during uncoarsening.
+pub const REFINE_PASSES: usize = 6;
 
 /// Coarse graphs at or below this size are solved by the weighted
 /// branch-and-bound instead of greedy + Metropolis.
@@ -226,18 +240,14 @@ fn heavy_edge_matching(wg: &WeightedGraph, w_cap: u64, seed: u64) -> (Vec<usize>
     (mate, pairs)
 }
 
-/// One coarsening step: the best of `rounds` seeded matchings folded into a
-/// coarse graph. Returns `(coarse, map)` where `map[v]` is the coarse id of
-/// fine vertex `v`, or `None` when no pair matched (no progress possible).
-pub fn coarsen(
-    wg: &WeightedGraph,
-    w_cap: u64,
-    rounds: usize,
-    seed: u64,
-) -> Option<(WeightedGraph, Vec<usize>)> {
+/// One coarsening step: the best of [`MATCHING_ROUNDS`] seeded matchings
+/// folded into a coarse graph. Returns `(coarse, map)` where `map[v]` is the
+/// coarse id of fine vertex `v`, or `None` when no pair matched (no progress
+/// possible).
+pub fn coarsen(wg: &WeightedGraph, w_cap: u64, seed: u64) -> Option<(WeightedGraph, Vec<usize>)> {
     let n = wg.vertex_count();
     let mut best: Option<(Vec<usize>, usize)> = None;
-    for r in 0..rounds.max(1) {
+    for r in 0..MATCHING_ROUNDS {
         let (mate, pairs) = heavy_edge_matching(wg, w_cap, seed.wrapping_add(r as u64));
         if best.as_ref().is_none_or(|(_, bp)| pairs > *bp) {
             best = Some((mate, pairs));
@@ -324,24 +334,23 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Coarsens `g` until it fits under `opts.coarsen_cutoff` or stalls.
+    /// Coarsens `g` until it fits under [`COARSEN_CUTOFF`] or stalls.
     /// Vertex weights are capped at `max(2, ⌈g_max/2⌉)` — folding right up
     /// to `g_max` would make the coarse bin packing (near-zero slack by
     /// construction) infeasible without cut-damaging repairs.
-    pub fn build(g: &Graph, g_max: usize, opts: &MultilevelOptions, seed: u64) -> Hierarchy {
+    pub fn build(g: &Graph, g_max: usize, seed: u64) -> Hierarchy {
         let w_cap = (g_max as u64).div_ceil(2).max(2);
         let mut levels = vec![WeightedGraph::from_graph(g)];
         let mut maps = Vec::new();
         loop {
             let top = levels.last().expect("non-empty");
             let n = top.vertex_count();
-            if n <= opts.coarsen_cutoff {
+            if n <= COARSEN_CUTOFF {
                 break;
             }
             let Some((coarse, map)) = coarsen(
                 top,
                 w_cap,
-                opts.matching_rounds,
                 seed ^ (levels.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             ) else {
                 break;
@@ -474,8 +483,7 @@ fn bfs_seed_weighted(wg: &WeightedGraph, num_blocks: usize, _g_max: u64) -> Vec<
 /// one overflow unit at a finer level — rather than a hard infeasibility
 /// wall: an overwhelming penalty makes the walk shred a good (contiguous)
 /// seed just to shave coarse-level overflow that the finest-level drain
-/// could have fixed almost for free. The weighted counterpart of
-/// [`mod@crate::anneal`].
+/// could have fixed almost for free.
 fn metropolis_polish(
     wg: &WeightedGraph,
     assign: &mut [usize],
@@ -779,20 +787,19 @@ fn swap_pass(
     swapped
 }
 
-/// Per-level refinement policy: how many move passes run, whether overflow
-/// must be drained unconditionally (`strict` — the finest level, where
-/// feasibility is owed to the caller), how many quadratic swap passes may
-/// break move stalls, and whether swap candidates extend to distance-2
-/// pairs (worth the extra scan only at coarse levels).
+/// Per-level refinement policy: whether overflow must be drained
+/// unconditionally (`strict` — the finest level, where feasibility is owed
+/// to the caller), how many quadratic swap passes may break move stalls,
+/// and whether swap candidates extend to distance-2 pairs (worth the extra
+/// scan only at coarse levels).
 #[derive(Clone, Copy)]
 struct RefinePlan {
-    passes: usize,
     strict: bool,
     swap_budget: usize,
     dist2: bool,
 }
 
-/// Refines `assign` at one level: drain, then up to `plan.passes` rounds of
+/// Refines `assign` at one level: drain, then up to [`REFINE_PASSES`] rounds of
 /// the parallel move pass with a swap pass when moves stall.
 fn refine_level(
     wg: &WeightedGraph,
@@ -809,7 +816,7 @@ fn refine_level(
     let damage_cap = if plan.strict { None } else { Some(0) };
     drain_overflow(wg, assign, &mut loads, g_max, &mut conn, damage_cap);
     let mut swaps_left = plan.swap_budget; // the quadratic pass is a stall-breaker, not a workhorse
-    for _ in 0..plan.passes.max(1) {
+    for _ in 0..REFINE_PASSES {
         let moved = parallel_move_pass(wg, assign, &mut loads, g_max, &mut conn);
         if moved {
             continue;
@@ -833,9 +840,9 @@ pub struct LevelTrace {
     pub seconds: f64,
 }
 
-/// Multilevel partition. `restarts` mirrors the flat engine's knob and is
-/// forwarded verbatim when the graph is small enough to delegate to
-/// [`fm_partition`]; above the cutoff it seeds the initial-partition polish.
+/// Multilevel partition. `restarts` is the flat engine's knob, forwarded
+/// verbatim when the graph is small enough to delegate to [`fm_partition`]
+/// and unused above the cutoff.
 /// Returns `(block_of, cut)` with every block at or under `g_max`.
 pub fn multilevel_partition(
     g: &Graph,
@@ -843,9 +850,8 @@ pub fn multilevel_partition(
     g_max: usize,
     restarts: usize,
     seed: u64,
-    opts: &MultilevelOptions,
 ) -> (Vec<usize>, usize) {
-    multilevel_impl(g, num_blocks, g_max, restarts, seed, opts, None)
+    multilevel_impl(g, num_blocks, g_max, restarts, seed, None)
 }
 
 /// [`multilevel_partition`] with a per-level trace appended to `trace`
@@ -856,11 +862,9 @@ pub fn multilevel_partition_traced(
     g_max: usize,
     restarts: usize,
     seed: u64,
-    opts: &MultilevelOptions,
 ) -> (Vec<usize>, usize, Vec<LevelTrace>) {
     let mut trace = Vec::new();
-    let (assign, cut) =
-        multilevel_impl(g, num_blocks, g_max, restarts, seed, opts, Some(&mut trace));
+    let (assign, cut) = multilevel_impl(g, num_blocks, g_max, restarts, seed, Some(&mut trace));
     (assign, cut, trace)
 }
 
@@ -870,11 +874,10 @@ fn multilevel_impl(
     g_max: usize,
     restarts: usize,
     seed: u64,
-    opts: &MultilevelOptions,
     mut trace: Option<&mut Vec<LevelTrace>>,
 ) -> (Vec<usize>, usize) {
     let n = g.vertex_count();
-    if n <= opts.coarsen_cutoff {
+    if n <= COARSEN_CUTOFF {
         let t0 = std::time::Instant::now();
         let (assign, cut) = fm_partition(g, num_blocks, g_max, restarts, seed);
         if let Some(trace) = trace.as_deref_mut() {
@@ -887,7 +890,7 @@ fn multilevel_impl(
         return (assign, cut);
     }
 
-    let hierarchy = Hierarchy::build(g, g_max, opts, seed);
+    let hierarchy = Hierarchy::build(g, g_max, seed);
     let coarsest = hierarchy.levels.last().expect("non-empty hierarchy");
     let t0 = std::time::Instant::now();
     let mut assign = initial_partition(coarsest, num_blocks, g_max as u64, seed);
@@ -897,7 +900,6 @@ fn multilevel_impl(
         num_blocks,
         g_max as u64,
         RefinePlan {
-            passes: opts.refine_passes,
             strict: hierarchy.maps.is_empty(),
             swap_budget: 2,
             dist2: true,
@@ -914,7 +916,6 @@ fn multilevel_impl(
             num_blocks,
             g_max as u64,
             RefinePlan {
-                passes: opts.refine_passes,
                 strict: i == 0,
                 swap_budget: if i == 0 { 1 } else { 0 },
                 dist2: i > 0,
@@ -937,7 +938,6 @@ fn multilevel_impl(
             num_blocks,
             g_max as u64,
             RefinePlan {
-                passes: opts.refine_passes,
                 strict: true,
                 swap_budget: 2,
                 dist2: false,
@@ -951,7 +951,6 @@ fn multilevel_impl(
         *last += t_net.elapsed().as_secs_f64();
     }
 
-    let _ = restarts; // delegation path only; kept for signature symmetry
     if let Some(trace) = trace {
         // level_secs is coarsest-first; the trace is finest-first.
         for (lvl, secs) in hierarchy.levels.iter().zip(level_secs.iter().rev()) {
@@ -979,7 +978,6 @@ fn multilevel_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::MultilevelOptions;
     use epgs_graph::generators;
 
     fn check_valid(g: &Graph, assign: &[usize], num_blocks: usize, g_max: usize) {
@@ -994,9 +992,8 @@ mod tests {
 
     #[test]
     fn delegates_identically_below_cutoff() {
-        let g = generators::lattice(4, 6); // 24 ≤ default cutoff 48
-        let opts = MultilevelOptions::default();
-        let ml = multilevel_partition(&g, 4, 6, 5, 7, &opts);
+        let g = generators::lattice(4, 6); // 24 ≤ COARSEN_CUTOFF
+        let ml = multilevel_partition(&g, 4, 6, 5, 7);
         let flat = fm_partition(&g, 4, 6, 5, 7);
         assert_eq!(ml, flat);
     }
@@ -1004,8 +1001,7 @@ mod tests {
     #[test]
     fn large_path_partitions_feasibly_and_well() {
         let g = generators::path(200);
-        let opts = MultilevelOptions::default();
-        let (assign, cut) = multilevel_partition(&g, 29, 7, 4, 1, &opts);
+        let (assign, cut) = multilevel_partition(&g, 29, 7, 4, 1);
         check_valid(&g, &assign, 29, 7);
         assert_eq!(cut, metrics::cut_edges(&g, &assign));
         // A path of 200 vertices into 29 blocks needs ≥ 28 cut edges; the
@@ -1016,8 +1012,7 @@ mod tests {
     #[test]
     fn lattice_quality_close_to_flat() {
         let g = generators::lattice(6, 12); // 72 vertices
-        let opts = MultilevelOptions::default();
-        let (assign, cut) = multilevel_partition(&g, 11, 7, 4, 3, &opts);
+        let (assign, cut) = multilevel_partition(&g, 11, 7, 4, 3);
         check_valid(&g, &assign, 11, 7);
         let (_, flat_cut) = fm_partition(&g, 11, 7, 4, 3);
         assert!(
@@ -1030,17 +1025,15 @@ mod tests {
     fn deterministic_per_seed() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = generators::watts_strogatz(80, 4, 0.1, &mut rng);
-        let opts = MultilevelOptions::default();
-        let a = multilevel_partition(&g, 12, 7, 4, 9, &opts);
-        let b = multilevel_partition(&g, 12, 7, 4, 9, &opts);
+        let a = multilevel_partition(&g, 12, 7, 4, 9);
+        let b = multilevel_partition(&g, 12, 7, 4, 9);
         assert_eq!(a, b);
     }
 
     #[test]
     fn hierarchy_projection_preserves_identity() {
         let g = generators::lattice(8, 10);
-        let opts = MultilevelOptions::default();
-        let h = Hierarchy::build(&g, 7, &opts, 3);
+        let h = Hierarchy::build(&g, 7, 3);
         assert!(h.levels.len() >= 2, "80 vertices must coarsen");
         for (i, map) in h.maps.iter().enumerate() {
             assert_eq!(map.len(), h.levels[i].vertex_count());
@@ -1067,8 +1060,7 @@ mod tests {
     fn weighted_cut_matches_projected_fine_cut() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::barabasi_albert(90, 3, &mut rng);
-        let opts = MultilevelOptions::default();
-        let h = Hierarchy::build(&g, 7, &opts, 4);
+        let h = Hierarchy::build(&g, 7, 4);
         // Any assignment of the coarsest level, projected down, must have a
         // fine edge cut equal to the coarse weighted cut.
         let top = h.levels.last().unwrap();
@@ -1086,8 +1078,7 @@ mod tests {
     #[test]
     fn traced_reports_every_level() {
         let g = generators::lattice(10, 10);
-        let opts = MultilevelOptions::default();
-        let (assign, cut, trace) = multilevel_partition_traced(&g, 15, 7, 4, 2, &opts);
+        let (assign, cut, trace) = multilevel_partition_traced(&g, 15, 7, 4, 2);
         check_valid(&g, &assign, 15, 7);
         assert_eq!(cut, metrics::cut_edges(&g, &assign));
         assert!(trace.len() >= 2);

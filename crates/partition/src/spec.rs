@@ -2,39 +2,9 @@
 
 use epgs_graph::{metrics, Graph};
 
-/// Knobs of the METIS-style multilevel scheme (see [`crate::multilevel`]).
-///
-/// These are deliberately explicit configuration rather than hard-coded
-/// constants: the DAC-style related work (CANDID DAC, RL-for-DAC) motivates
-/// per-instance dynamic configuration, and a future `TuningPolicy` will
-/// drive exactly these fields from cheap instance features.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultilevelOptions {
-    /// Stop coarsening (and skip the scheme entirely) at or below this many
-    /// vertices: small graphs are partitioned directly by the flat FM
-    /// search, which is already fast there and exactly reproduces the flat
-    /// scheme's quality.
-    pub coarsen_cutoff: usize,
-    /// Seeded heavy-edge matchings tried per level; the one producing the
-    /// fewest coarse vertices wins (ties: first tried).
-    pub matching_rounds: usize,
-    /// Refinement iterations per level during uncoarsening.
-    pub refine_passes: usize,
-}
-
-impl Default for MultilevelOptions {
-    fn default() -> Self {
-        MultilevelOptions {
-            coarsen_cutoff: 48,
-            matching_rounds: 1,
-            refine_passes: 6,
-        }
-    }
-}
-
 /// Which partitioning engine scores candidate graphs (paper §IV.A solves
 /// one MIP; this crate offers two search schemes over the same model).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum PartitionScheme {
     /// Multi-restart FM on the flat graph (the pre-multilevel engine).
     /// Selecting this reproduces the historical pipeline byte for byte.
@@ -43,14 +13,9 @@ pub enum PartitionScheme {
     /// initial partition there, FM refinement at every level on the way
     /// back up. ~10–50× faster than [`PartitionScheme::Flat`] above ~50
     /// vertices; graphs at or below the coarsening cutoff delegate to the
-    /// flat engine unchanged.
-    Multilevel(MultilevelOptions),
-}
-
-impl Default for PartitionScheme {
-    fn default() -> Self {
-        PartitionScheme::Multilevel(MultilevelOptions::default())
-    }
+    /// flat engine unchanged (see [`crate::multilevel::COARSEN_CUTOFF`]).
+    #[default]
+    Multilevel,
 }
 
 /// Parameters of the graph-state partitioning problem (paper §IV.A).
@@ -59,7 +24,8 @@ impl Default for PartitionScheme {
 /// are the subgraph capacity `g_max` (Eq. 4) and the local-complementation
 /// budget `l` (Eq. 2–3). The paper solves this with Gurobi under a 20-minute
 /// timeout; this crate solves the same model with exact branch-and-bound at
-/// small sizes and anytime local search above (see DESIGN.md §5).
+/// small sizes and anytime local search above (see ARCHITECTURE.md,
+/// "Multilevel partitioning").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Maximum vertices per subgraph (paper default 7).
@@ -67,8 +33,8 @@ pub struct PartitionSpec {
     /// Maximum local complementations applied before partitioning
     /// (paper default 15; 0 disables LC optimization).
     pub lc_budget: usize,
-    /// Restarts / iteration scale of the local search (flat scheme; the
-    /// multilevel scheme's effort knobs live in [`MultilevelOptions`]).
+    /// Restarts / iteration scale of the flat local search (the multilevel
+    /// scheme's effort settings are constants in [`crate::multilevel`]).
     pub effort: usize,
     /// RNG seed for the randomized phases.
     pub seed: u64,

@@ -22,9 +22,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use epgs_graph::canon::fnv1a_all;
 use epgs_graph::{generators, Graph};
 use epgs_partition::fm::fm_partition;
-use epgs_partition::{multilevel_partition, Hierarchy, MultilevelOptions};
+use epgs_partition::{multilevel_partition, Hierarchy};
 
 /// Brute-force edge recount of a cut — deliberately independent of
 /// `epgs_graph::metrics::cut_edges`, which the engines use internally.
@@ -108,9 +109,7 @@ proptest! {
         let (name, g) = family_graph(family, size_knob, seed);
         let n = g.vertex_count();
         let num_blocks = n.div_ceil(g_max);
-        let opts = MultilevelOptions::default();
-
-        let (ml_assign, ml_cut) = multilevel_partition(&g, num_blocks, g_max, 3, seed, &opts);
+        let (ml_assign, ml_cut) = multilevel_partition(&g, num_blocks, g_max, 3, seed);
         assert_valid(&format!("{name} multilevel"), &g, &ml_assign, num_blocks, g_max);
         prop_assert_eq!(
             ml_cut, recount_cut(&g, &ml_assign),
@@ -134,8 +133,7 @@ proptest! {
     ) {
         let (name, g) = family_graph(family, size_knob, seed);
         let n = g.vertex_count();
-        let opts = MultilevelOptions::default();
-        let h = Hierarchy::build(&g, 7, &opts, seed);
+        let h = Hierarchy::build(&g, 7, seed);
 
         prop_assert_eq!(h.levels[0].vertex_count(), n, "{}: level 0 must be the input", name);
         prop_assert_eq!(h.maps.len() + 1, h.levels.len(), "{}: one map per fold", name);
@@ -179,7 +177,6 @@ proptest! {
 /// Degenerate shapes must not panic in either engine.
 #[test]
 fn tiny_and_degenerate_graphs() {
-    let opts = MultilevelOptions::default();
     for g in [
         generators::path(1),
         generators::path(2),
@@ -187,7 +184,7 @@ fn tiny_and_degenerate_graphs() {
         Graph::new(3), // edgeless
     ] {
         let n = g.vertex_count();
-        let (assign, cut) = multilevel_partition(&g, n.div_ceil(3), 3, 2, 9, &opts);
+        let (assign, cut) = multilevel_partition(&g, n.div_ceil(3), 3, 2, 9);
         assert_valid("tiny multilevel", &g, &assign, n.div_ceil(3), 3);
         assert_eq!(cut, recount_cut(&g, &assign));
     }
@@ -215,12 +212,11 @@ fn large_instances() -> Vec<(&'static str, Graph)> {
 
 #[test]
 fn multilevel_repeated_runs_are_bit_identical() {
-    let opts = MultilevelOptions::default();
     for (name, g) in large_instances() {
         let n = g.vertex_count();
-        let first = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts);
+        let first = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42);
         for _ in 0..2 {
-            let again = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts);
+            let again = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42);
             assert_eq!(first, again, "{name}: repeated run diverged");
         }
     }
@@ -228,18 +224,51 @@ fn multilevel_repeated_runs_are_bit_identical() {
 
 #[test]
 fn multilevel_sequential_mode_matches_parallel() {
-    let opts = MultilevelOptions::default();
     for (name, g) in large_instances() {
         let n = g.vertex_count();
-        let parallel = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts);
+        let parallel = multilevel_partition(&g, n.div_ceil(7), 7, 3, 42);
         let sequential = {
             std::env::set_var("RAYON_NUM_THREADS", "1");
             let _guard = SequentialModeGuard;
-            multilevel_partition(&g, n.div_ceil(7), 7, 3, 42, &opts)
+            multilevel_partition(&g, n.div_ceil(7), 7, 3, 42)
         };
         assert_eq!(
             parallel, sequential,
             "{name}: sequential and parallel runs diverged"
+        );
+    }
+}
+
+/// Pins the exact multilevel output (assignment hash and cut) on graphs
+/// above the coarsening cutoff, where the flat-scheme QASM pins do not
+/// reach: any change to coarsening, initial partitioning or refinement
+/// that moves a single vertex shows up here.
+#[test]
+fn multilevel_output_is_pinned_above_the_cutoff() {
+    let mut rng = StdRng::seed_from_u64(0xdac2025);
+    let cases = [
+        ("path-200", generators::path(200), 0x63ad_444c_5b67_88e3, 28),
+        (
+            "lattice-10x50",
+            generators::lattice(10, 50),
+            0x8a8c_753c_73db_7087,
+            456,
+        ),
+        (
+            "rr3-200",
+            generators::random_regular(200, 3, &mut rng),
+            0x9359_9a26_4539_84c9,
+            136,
+        ),
+    ];
+    for (name, g, want_hash, want_cut) in cases {
+        let n = g.vertex_count();
+        let (assign, cut) = multilevel_partition(&g, n.div_ceil(7), 7, 8, 0xdac2025);
+        assert_valid(name, &g, &assign, n.div_ceil(7), 7);
+        assert_eq!(
+            (fnv1a_all(assign.iter().map(|&b| b as u64)), cut),
+            (want_hash, want_cut),
+            "{name}: multilevel output changed"
         );
     }
 }

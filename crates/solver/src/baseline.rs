@@ -9,7 +9,7 @@
 //! reverse engine as [`crate::reverse`], the natural ordering, plus a bounded
 //! randomized search over LC-equivalent targets that keeps the best circuit
 //! (single-qubit corrections included, so the circuit still delivers the
-//! original target). See DESIGN.md §5 for the substitution rationale.
+//! original target).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -24,7 +24,7 @@ pub fn is_graph_state(t: &Tableau, g: &Graph) -> bool {
 /// True if the sub-register `qubits` of `t` is exactly |G⟩ on those qubits
 /// (in the order given) **and** every other qubit is disentangled in |0⟩.
 ///
-/// This is the compiler's acceptance criterion: photons carry |G⟩, emitters
+/// This is the compiler's acceptance test: photons carry |G⟩, emitters
 /// are back in |0⟩.
 pub fn is_graph_state_on(t: &Tableau, g: &Graph, qubits: &[usize]) -> bool {
     let n = t.num_qubits();
