@@ -142,36 +142,6 @@ fn main() -> ExitCode {
                 regressions += check(&format!("framework n={n} {stage}"), b, f) as usize;
             }
         }
-        // Multilevel per-level trace: levels are matched by vertex count —
-        // the hierarchy is a pure function of (graph, g_max, seed, options),
-        // so a vertex-count mismatch means the coarsening itself changed and
-        // timings are not comparable (reported informationally, not as a
-        // regression).
-        let base_levels = base_entry.get("partition_levels").and_then(Value::as_arr);
-        let fresh_levels = fresh_entry.get("partition_levels").and_then(Value::as_arr);
-        if let (Some(bl), Some(fl)) = (base_levels, fresh_levels) {
-            if bl.len() != fl.len()
-                || bl.iter().zip(fl.iter()).any(|(b, f)| {
-                    b.get("vertices").and_then(Value::as_usize)
-                        != f.get("vertices").and_then(Value::as_usize)
-                })
-            {
-                println!(
-                    "note: framework n={n}: partition hierarchy shape changed, levels skipped"
-                );
-            } else {
-                for (b, f) in bl.iter().zip(fl.iter()) {
-                    let v = b.get("vertices").and_then(Value::as_usize).unwrap_or(0);
-                    if let (Some(b), Some(f)) = (
-                        b.get("seconds").and_then(Value::as_f64),
-                        f.get("seconds").and_then(Value::as_f64),
-                    ) {
-                        compared += 1;
-                        regressions += check(&format!("framework n={n} level {v}v"), b, f) as usize;
-                    }
-                }
-            }
-        }
     }
     // Tableau trajectories: GF(2) kernel rows matched by op and shape. The
     // per-iteration times sit under the wall-clock noise floor, so the guard

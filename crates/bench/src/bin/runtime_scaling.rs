@@ -22,10 +22,9 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use epgs_bench::{bench_framework, flat_framework, STAGES};
+use epgs_bench::{bench_framework, STAGES};
 use epgs_corpus::json::{Value, Writer};
 use epgs_graph::generators;
-use epgs_partition::{multilevel_partition_traced, PartitionScheme};
 use epgs_solver::reverse::{solve_with_ordering_in, SolveOptions, SolverWorkspace};
 
 /// Exhaustively searches every emission ordering (the brute-force regime the
@@ -95,17 +94,12 @@ fn main() -> ExitCode {
     // floor on the committed trajectory, so the CI guard has live
     // comparisons rather than skipping everything as jitter. n=60 is above
     // the multilevel coarsening cutoff, so CI also exercises the coarsen →
-    // partition → uncoarsen path and its per-level trace end to end.
+    // partition → uncoarsen path end to end.
     let framework_sizes: &[usize] = if smoke {
         &[10, 20, 30, 60]
     } else {
         &[10, 20, 30, 40, 50, 60, 80, 100, 200, 500, 1000]
     };
-    // Size at which the flat partitioner is re-timed alongside the default
-    // scheme — big enough that the flat engine's O(n²) swap passes dominate
-    // (the speedup headline), small enough that one flat run stays in
-    // seconds. Skipped in smoke mode.
-    const FLAT_COMPARE_N: usize = 100;
 
     println!("== exhaustive ordering search on linear clusters (brute-force regime) ==");
     println!(
@@ -195,43 +189,6 @@ fn main() -> ExitCode {
             w.field_fixed(stage, secs, 4);
         }
         w.end_obj();
-        // Per-level engine trace: one direct multilevel run with the same
-        // spec arguments the LC search forwards, so the trajectory shows
-        // where inside the V-cycle each size spends its time.
-        let spec = &pipeline.config().partition;
-        if spec.scheme == PartitionScheme::Multilevel {
-            let (_, _, trace) = multilevel_partition_traced(
-                &g,
-                spec.num_blocks(n),
-                spec.g_max,
-                spec.effort.max(2),
-                spec.seed,
-            );
-            w.key("partition_levels");
-            w.begin_arr();
-            for level in &trace {
-                w.begin_obj();
-                w.field_uint("vertices", level.vertices as u64);
-                w.field_uint("edges", level.edges as u64);
-                w.field_fixed("seconds", level.seconds, 6);
-                w.end_obj();
-            }
-            w.end_arr();
-        }
-        // Headline comparison: re-time the partition stage under the flat
-        // scheme at one size so the committed trajectory itself shows the
-        // speedup, measured on the same machine in the same run.
-        if !smoke && n == FLAT_COMPARE_N {
-            let flat_fw = flat_framework();
-            let flat_pipeline = flat_fw.pipeline();
-            let t0 = Instant::now();
-            let _ = flat_pipeline.partition(&g);
-            let t_flat = t0.elapsed().as_secs_f64();
-            let speedup = t_flat / t_partition.max(1e-9);
-            println!("        (flat partition at n={n}: {t_flat:.2}s → {speedup:.1}x speedup)");
-            w.field_fixed("flat_partition_seconds", t_flat, 4);
-            w.field_fixed("partition_speedup", speedup, 2);
-        }
         w.end_obj();
     }
     w.end_arr();

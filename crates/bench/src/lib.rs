@@ -76,38 +76,16 @@ pub fn bench_framework() -> Framework {
         },
         orderings_per_subgraph: 8,
         flexible_slack: 2,
-        verify: true,
         ..FrameworkConfig::default()
     })
 }
 
-/// [`bench_framework`] pinned to the flat partition scheme — the
-/// pre-multilevel engine, kept measurable so `runtime_scaling` can record
-/// the flat-vs-multilevel partition-stage speedup in the same run, on the
-/// same machine.
-pub fn flat_framework() -> Framework {
-    let mut config = bench_framework().config().clone();
-    config.partition.scheme = epgs_partition::PartitionScheme::Flat;
-    Framework::new(config)
-}
-
-/// Framework configuration for corpus batch runs ([`bench_framework`] with
-/// the search effort trimmed so a 20+ instance corpus — see
+/// Framework configuration for corpus batch runs: the serving daemon's
+/// [`epgs_serve::default_config`] ([`bench_framework`] with the search
+/// effort trimmed so a 20+ instance corpus — see
 /// `epgs_corpus::CorpusSpec::default_corpus` — compiles in seconds).
 pub fn corpus_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: SEED,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
+    Framework::new(epgs_serve::default_config())
 }
 
 /// Baseline configuration: GraphiQ-style alternate-target search.

@@ -37,6 +37,7 @@ use crate::config::{EmitterBudget, FrameworkConfig};
 use crate::error::FrameworkError;
 use crate::faults::{self, lock_recover, FaultKind, FaultPlan, RequestCtx};
 use crate::framework::Compiled;
+use crate::stages::planned::LEAF_SEED;
 use crate::stages::{Pipeline, Planned, RecombineStrategy};
 use crate::store::{ArtifactStore, StoreStats};
 
@@ -45,8 +46,11 @@ use crate::store::{ArtifactStore, StoreStats};
 ///
 /// Two configurations with equal fingerprints compile any graph
 /// identically, so the fingerprint is the config half of the cache key.
+/// The pipeline's fixed behaviour enters too — always-on verification,
+/// the leaf-ordering seed and the code of every [`RecombineStrategy`] — so
+/// a change to it re-keys persisted artifacts.
 pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
-    let strategy_code = |s: &RecombineStrategy| -> u64 {
+    let strategy_code = |s: RecombineStrategy| -> u64 {
         match s {
             RecombineStrategy::ScheduledInterleave => 1,
             RecombineStrategy::BlockSequential => 2,
@@ -104,15 +108,15 @@ pub fn config_fingerprint(cfg: &FrameworkConfig) -> u64 {
         cfg.partition.seed,
         cfg.orderings_per_subgraph as u64,
         cfg.flexible_slack as u64,
-        u64::from(cfg.verify),
-        cfg.seed,
+        1, // verification always runs
+        LEAF_SEED,
     ]
     .into_iter()
     .chain(scheme_words)
     .chain(hardware_words(&cfg.hardware))
     .chain(budget_words)
     .chain(objective_words)
-    .chain(cfg.recombine.iter().map(strategy_code));
+    .chain(RecombineStrategy::all().into_iter().map(strategy_code));
     fnv1a_all(words)
 }
 

@@ -3,8 +3,6 @@
 use epgs_hardware::{CompileObjective, HardwareModel};
 use epgs_partition::{PartitionScheme, PartitionSpec};
 
-use crate::stages::RecombineStrategy;
-
 /// How many emitters the hardware offers the scheduler (paper §V.B.2 uses
 /// `1.5 × Ne_min` and `2 × Ne_min`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,18 +25,21 @@ impl EmitterBudget {
 
 /// Complete configuration of the compilation framework.
 ///
+/// Recombination always runs every
+/// [`RecombineStrategy`](crate::RecombineStrategy) and the final circuit is
+/// always verified; neither is configurable.
+///
 /// Construct via [`FrameworkConfig::builder`] (or struct update off
 /// [`FrameworkConfig::default`]):
 ///
 /// ```
-/// use epgs::{EmitterBudget, FrameworkConfig, RecombineStrategy};
+/// use epgs::{EmitterBudget, FrameworkConfig};
 ///
 /// let config = FrameworkConfig::builder()
 ///     .g_max(7)
 ///     .lc_budget(15)
 ///     .emitter_budget(EmitterBudget::Factor(1.5))
 ///     .flexible_slack(2)
-///     .recombine(RecombineStrategy::all())
 ///     .build();
 /// assert_eq!(config.partition.g_max, 7);
 /// ```
@@ -62,13 +63,6 @@ pub struct FrameworkConfig {
     /// Flexible-resource slack: each subgraph is also compiled with
     /// `ne_min + 1 … ne_min + slack` emitters (paper §IV.B uses 2).
     pub flexible_slack: usize,
-    /// Recombination strategies competing for the global circuit, tried in
-    /// order (see [`RecombineStrategy`]).
-    pub recombine: Vec<RecombineStrategy>,
-    /// Verify the final circuit against the target (strongly recommended).
-    pub verify: bool,
-    /// Seed for the randomized phases.
-    pub seed: u64,
 }
 
 impl Default for FrameworkConfig {
@@ -80,9 +74,6 @@ impl Default for FrameworkConfig {
             emitter_budget: EmitterBudget::Factor(1.5),
             orderings_per_subgraph: 8,
             flexible_slack: 2,
-            recombine: RecombineStrategy::all(),
-            verify: true,
-            seed: 0xec05,
         }
     }
 }
@@ -198,24 +189,6 @@ impl FrameworkConfigBuilder {
         self
     }
 
-    /// Recombination strategies, tried in the given order.
-    pub fn recombine(mut self, strategies: Vec<RecombineStrategy>) -> Self {
-        self.config.recombine = strategies;
-        self
-    }
-
-    /// Toggles final stabilizer verification.
-    pub fn verify(mut self, verify: bool) -> Self {
-        self.config.verify = verify;
-        self
-    }
-
-    /// Seed for the randomized phases.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
     /// Finishes the configuration.
     pub fn build(self) -> FrameworkConfig {
         self.config
@@ -242,7 +215,6 @@ mod tests {
         assert_eq!(c.partition.g_max, 7);
         assert_eq!(c.partition.lc_budget, 15);
         assert_eq!(c.flexible_slack, 2);
-        assert_eq!(c.recombine, RecombineStrategy::all());
         assert_eq!(c.objective, CompileObjective::Emitters);
     }
 
@@ -254,9 +226,6 @@ mod tests {
         assert_eq!(built.emitter_budget, default.emitter_budget);
         assert_eq!(built.orderings_per_subgraph, default.orderings_per_subgraph);
         assert_eq!(built.flexible_slack, default.flexible_slack);
-        assert_eq!(built.recombine, default.recombine);
-        assert_eq!(built.verify, default.verify);
-        assert_eq!(built.seed, default.seed);
     }
 
     #[test]
@@ -269,10 +238,7 @@ mod tests {
             .emitter_budget(EmitterBudget::Absolute(3))
             .orderings_per_subgraph(5)
             .flexible_slack(0)
-            .recombine(vec![RecombineStrategy::DirectSolve])
             .objective(CompileObjective::Duration(HardwareModel::rydberg()))
-            .verify(false)
-            .seed(99)
             .build();
         assert_eq!(
             c.objective,
@@ -285,8 +251,5 @@ mod tests {
         assert_eq!(c.emitter_budget, EmitterBudget::Absolute(3));
         assert_eq!(c.orderings_per_subgraph, 5);
         assert_eq!(c.flexible_slack, 0);
-        assert_eq!(c.recombine, vec![RecombineStrategy::DirectSolve]);
-        assert!(!c.verify);
-        assert_eq!(c.seed, 99);
     }
 }

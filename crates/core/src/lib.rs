@@ -64,11 +64,11 @@
 //! # }
 //! ```
 //!
-//! Recombination is pluggable: [`RecombineStrategy`] selects which global
-//! assembly candidates compete (scheduled interleave, block-sequential,
-//! direct solve), configured per run via
-//! [`FrameworkConfig::recombine`] or per call via
-//! [`Scheduled::recombine_with`].
+//! Recombination is one competition: every [`RecombineStrategy`]
+//! (scheduled interleave, block-sequential, direct solve) proposes a global
+//! circuit and the best under the objective wins.
+//! [`Scheduled::recombine_with`] solves a subset, to see what each
+//! strategy contributes.
 //!
 //! # The hardware-aware objective layer
 //!

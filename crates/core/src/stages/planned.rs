@@ -14,6 +14,11 @@ use crate::stages::scheduled::Scheduled;
 use crate::stages::Shared;
 use crate::subgraph::{compile_subgraph, SubgraphPlan};
 
+/// Base seed of the randomized leaf-ordering search; block `i` of a plan
+/// searches with `LEAF_SEED + i` (plus a per-refinement offset). It enters
+/// [`crate::config_fingerprint`], so changing it re-keys persisted artifacts.
+pub(crate) const LEAF_SEED: u64 = 0xec05;
+
 /// Partition plus plans, shared immutably by every schedule derived from it.
 #[derive(Debug)]
 pub(crate) struct PlannedData {
@@ -75,7 +80,7 @@ impl Planned {
                 &cfg.objective,
                 cfg.orderings_per_subgraph,
                 cfg.flexible_slack,
-                cfg.seed.wrapping_add(i as u64).wrapping_add(seed_extra),
+                LEAF_SEED.wrapping_add(i as u64).wrapping_add(seed_extra),
             )
             .map_err(FrameworkError::from)
         };

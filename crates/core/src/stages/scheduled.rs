@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use epgs_graph::Graph;
-use epgs_hardware::CompileObjective;
 
 use crate::error::FrameworkError;
 use crate::schedule::Schedule;
@@ -70,24 +69,23 @@ impl Scheduled {
     }
 
     /// Stage 4: recombines the scheduled leaf circuits into one global
-    /// circuit using the configured
-    /// [recombination strategies](crate::FrameworkConfig::recombine) and
-    /// [objective](crate::FrameworkConfig::objective).
+    /// circuit. Every [`RecombineStrategy`] competes and the best circuit
+    /// under the configured [objective](crate::FrameworkConfig::objective)
+    /// wins.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Solver`] if every candidate solve fails, or
-    /// [`FrameworkError::NoRecombineStrategy`] if the configured strategy
-    /// list is empty.
+    /// [`FrameworkError::Solver`] if every candidate solve fails.
     pub fn recombine(&self) -> Result<Recombined, FrameworkError> {
-        self.recombine_with(&self.shared.config.recombine)
+        self.recombine_with(&RecombineStrategy::all())
     }
 
-    /// Stage 4 with an explicit strategy list, tried in order; the best
+    /// Stage 4 restricted to `strategies`, tried in order; the best
     /// circuit under the configured
     /// [objective](crate::FrameworkConfig::objective) wins (the default
     /// objective is the paper's lexicographic #ee-CNOT, then `T_loss`,
-    /// then duration order).
+    /// then duration order). Solving a strategy alone shows what it
+    /// contributes to [`Scheduled::recombine`]'s competition.
     ///
     /// # Errors
     ///
@@ -98,42 +96,6 @@ impl Scheduled {
         strategies: &[RecombineStrategy],
     ) -> Result<Recombined, FrameworkError> {
         Recombined::build(self, strategies, &self.shared.config.objective)
-    }
-
-    /// Stage 4 with an explicit objective, overriding the configured one
-    /// for this call only. Only the recombination competition is re-scored:
-    /// the leaf circuits underneath were already selected under the
-    /// *configured* objective, so this is a cheap approximation of a
-    /// platform's preference, not a full re-compile — for an unbiased
-    /// cross-platform comparison build one pipeline per platform (as the
-    /// `hardware_sweep` bench bin does):
-    ///
-    /// ```
-    /// use epgs::{CompileObjective, FrameworkConfig, Pipeline};
-    /// use epgs_graph::generators;
-    /// use epgs_hardware::HardwareModel;
-    ///
-    /// # fn main() -> Result<(), epgs::FrameworkError> {
-    /// let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(4).build());
-    /// let scheduled = pipeline
-    ///     .partition(&generators::lattice(3, 3))
-    ///     .plan_leaves()?
-    ///     .schedule(3);
-    /// let for_rydberg = CompileObjective::Duration(HardwareModel::rydberg());
-    /// let recombined = scheduled.recombine_objective(&for_rydberg)?;
-    /// assert_eq!(recombined.objective(), &for_rydberg);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// See [`Scheduled::recombine_with`].
-    pub fn recombine_objective(
-        &self,
-        objective: &CompileObjective,
-    ) -> Result<Recombined, FrameworkError> {
-        Recombined::build(self, &self.shared.config.recombine, objective)
     }
 }
 

@@ -40,5 +40,5 @@ pub mod spec;
 pub use control::{FaultHook, InjectedFault, SearchControl, SearchReport};
 pub use error::PartitionError;
 pub use lc_search::{partition_with_lc, partition_with_lc_controlled};
-pub use multilevel::{multilevel_partition, multilevel_partition_traced, Hierarchy, LevelTrace};
+pub use multilevel::{multilevel_partition, Hierarchy};
 pub use spec::{Partition, PartitionScheme, PartitionSpec};

@@ -120,11 +120,6 @@ impl WeightedGraph {
         self.vwts.len()
     }
 
-    /// Number of (distinct) edges at this level.
-    pub fn edge_count(&self) -> usize {
-        self.nbrs.len() / 2
-    }
-
     /// Weight of vertex `v` (finest-level vertices folded into it).
     pub fn vertex_weight(&self, v: usize) -> u64 {
         self.vwts[v]
@@ -828,18 +823,6 @@ fn refine_level(
     }
 }
 
-/// Per-level trace of one multilevel run (coarsest level last), for the
-/// `runtime_scaling` bench and the invariants tests.
-#[derive(Debug, Clone)]
-pub struct LevelTrace {
-    /// Vertices at this level.
-    pub vertices: usize,
-    /// Distinct edges at this level.
-    pub edges: usize,
-    /// Seconds spent refining (or initially partitioning) this level.
-    pub seconds: f64,
-}
-
 /// Multilevel partition. `restarts` is the flat engine's knob, forwarded
 /// verbatim when the graph is small enough to delegate to [`fm_partition`]
 /// and unused above the cutoff.
@@ -851,48 +834,12 @@ pub fn multilevel_partition(
     restarts: usize,
     seed: u64,
 ) -> (Vec<usize>, usize) {
-    multilevel_impl(g, num_blocks, g_max, restarts, seed, None)
-}
-
-/// [`multilevel_partition`] with a per-level trace appended to `trace`
-/// (finest level first). Delegated (below-cutoff) runs record one level.
-pub fn multilevel_partition_traced(
-    g: &Graph,
-    num_blocks: usize,
-    g_max: usize,
-    restarts: usize,
-    seed: u64,
-) -> (Vec<usize>, usize, Vec<LevelTrace>) {
-    let mut trace = Vec::new();
-    let (assign, cut) = multilevel_impl(g, num_blocks, g_max, restarts, seed, Some(&mut trace));
-    (assign, cut, trace)
-}
-
-fn multilevel_impl(
-    g: &Graph,
-    num_blocks: usize,
-    g_max: usize,
-    restarts: usize,
-    seed: u64,
-    mut trace: Option<&mut Vec<LevelTrace>>,
-) -> (Vec<usize>, usize) {
-    let n = g.vertex_count();
-    if n <= COARSEN_CUTOFF {
-        let t0 = std::time::Instant::now();
-        let (assign, cut) = fm_partition(g, num_blocks, g_max, restarts, seed);
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.push(LevelTrace {
-                vertices: n,
-                edges: g.edge_count(),
-                seconds: t0.elapsed().as_secs_f64(),
-            });
-        }
-        return (assign, cut);
+    if g.vertex_count() <= COARSEN_CUTOFF {
+        return fm_partition(g, num_blocks, g_max, restarts, seed);
     }
 
     let hierarchy = Hierarchy::build(g, g_max, seed);
     let coarsest = hierarchy.levels.last().expect("non-empty hierarchy");
-    let t0 = std::time::Instant::now();
     let mut assign = initial_partition(coarsest, num_blocks, g_max as u64, seed);
     refine_level(
         coarsest,
@@ -905,10 +852,8 @@ fn multilevel_impl(
             dist2: true,
         },
     );
-    let mut level_secs = vec![t0.elapsed().as_secs_f64()];
 
     for i in (0..hierarchy.maps.len()).rev() {
-        let t = std::time::Instant::now();
         assign = Hierarchy::project(&hierarchy.maps[i], &assign);
         refine_level(
             &hierarchy.levels[i],
@@ -921,14 +866,12 @@ fn multilevel_impl(
                 dist2: i > 0,
             },
         );
-        level_secs.push(t.elapsed().as_secs_f64());
     }
     // Safety net: on capacity-tight instances (near-zero slack between
     // `⌈n/g_max⌉·g_max` and `n`) a stalled coarsening can leave the projected
     // partition worse than plain BFS seeding at the finest level — the flat
     // engine's own starting point. Seed once directly (O(n+m)); only when it
     // already beats the refined projection, refine it too and keep the winner.
-    let t_net = std::time::Instant::now();
     let finest = &hierarchy.levels[0];
     let mut direct = bfs_seed_weighted(finest, num_blocks, g_max as u64);
     if finest.cut(&direct) < finest.cut(&assign) {
@@ -945,20 +888,6 @@ fn multilevel_impl(
         );
         if finest.cut(&direct) < finest.cut(&assign) {
             assign = direct;
-        }
-    }
-    if let Some(last) = level_secs.last_mut() {
-        *last += t_net.elapsed().as_secs_f64();
-    }
-
-    if let Some(trace) = trace {
-        // level_secs is coarsest-first; the trace is finest-first.
-        for (lvl, secs) in hierarchy.levels.iter().zip(level_secs.iter().rev()) {
-            trace.push(LevelTrace {
-                vertices: lvl.vertex_count(),
-                edges: lvl.edge_count(),
-                seconds: *secs,
-            });
         }
     }
     let cut = metrics::cut_edges(g, &assign);
@@ -1076,16 +1005,14 @@ mod tests {
     }
 
     #[test]
-    fn traced_reports_every_level() {
+    fn hierarchy_levels_shrink_strictly() {
         let g = generators::lattice(10, 10);
-        let (assign, cut, trace) = multilevel_partition_traced(&g, 15, 7, 4, 2);
-        check_valid(&g, &assign, 15, 7);
-        assert_eq!(cut, metrics::cut_edges(&g, &assign));
-        assert!(trace.len() >= 2);
-        assert_eq!(trace[0].vertices, 100);
-        // Strictly decreasing level sizes.
-        for w in trace.windows(2) {
-            assert!(w[1].vertices < w[0].vertices);
+        let h = Hierarchy::build(&g, 7, 2);
+        assert!(h.levels.len() >= 2);
+        assert_eq!(h.levels[0].vertex_count(), 100);
+        assert_eq!(h.maps.len(), h.levels.len() - 1);
+        for w in h.levels.windows(2) {
+            assert!(w[1].vertex_count() < w[0].vertex_count());
         }
     }
 

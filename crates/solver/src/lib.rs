@@ -33,7 +33,7 @@ pub mod error;
 pub mod ordering;
 pub mod reverse;
 
-pub use baseline::{solve_baseline, BaselineOptions};
+pub use baseline::{append_lc_inverse, solve_baseline, BaselineOptions};
 pub use error::SolverError;
 pub use reverse::{
     solve, solve_with_ordering, solve_with_ordering_in, SolveOptions, Solved, SolverWorkspace,

@@ -105,11 +105,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // solve, and a direct whole-graph solve that lets the framework
     // degrade gracefully when partitioning doesn't pay — compete under the
     // configured CompileObjective. The default, `Emitters`, is the paper's
-    // lexicographic (#ee-CNOT, then T_loss, then duration) order; swap in
+    // lexicographic (#ee-CNOT, then T_loss, then duration) order; configure
     // `CompileObjective::Duration(hw)` or `::Loss(hw)` and platform timing
-    // decides instead (try `scheduled.recombine_objective(..)` — the
-    // hardware_sweep bench bin does exactly that across presets). The
-    // artifact records which strategy and objective won.
+    // decides instead (the hardware_sweep bench bin builds one pipeline per
+    // preset to do exactly that). The artifact records which strategy and
+    // objective won.
     let recombined = scheduled.recombine()?;
     println!(
         "recombined via {:?} under the {} objective",

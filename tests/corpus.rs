@@ -1,7 +1,12 @@
 //! Batch-engine integration tests: the full default corpus compiles and
 //! verifies end to end, and the artifact cache behaves across passes.
 
-use epgs::{BatchCompiler, BatchInstance, CacheOutcome, FrameworkConfig};
+use std::sync::Arc;
+
+use epgs::faults::POINT_COMPILE;
+use epgs::{
+    BatchCompiler, BatchInstance, CacheOutcome, FaultKind, FaultPlan, FrameworkConfig, Trigger,
+};
 use epgs_corpus::CorpusSpec;
 use epgs_graph::canon::canonical_hash;
 
@@ -110,22 +115,20 @@ fn batch_report_json_is_loadable() {
 
 #[test]
 fn mixed_valid_and_failing_instances_do_not_abort_the_batch() {
-    // A strategy-less config fails recombination; the batch must record the
-    // failure and keep compiling the rest.
-    let bad = FrameworkConfig {
-        recombine: vec![],
-        ..quick_config()
-    };
-    let batch = BatchCompiler::new(bad);
+    // An armed compile fault fails every instance; the batch must record
+    // each failure and keep compiling the rest.
+    let mut batch = BatchCompiler::new(quick_config());
+    let plan = Arc::new(FaultPlan::new(1).rule(POINT_COMPILE, FaultKind::Fail, Trigger::Always));
+    batch.set_fault_plan(Arc::clone(&plan));
     let jobs: Vec<BatchInstance> = corpus_jobs().into_iter().take(3).collect();
     let report = batch.run(&jobs);
     assert_eq!(report.succeeded, 0);
     assert_eq!(report.failed, 3);
-    assert!(report
-        .instances
-        .iter()
-        .all(|r| r.error.as_deref().is_some_and(|e| e.contains("strategy"))));
-    // And the same instances under a sane config still pass.
-    let good = BatchCompiler::new(quick_config());
-    assert_eq!(good.run(&jobs).succeeded, 3);
+    assert!(report.instances.iter().all(|r| r
+        .error
+        .as_deref()
+        .is_some_and(|e| e.contains("injected fault"))));
+    // And the same instances still pass once the plan is disarmed.
+    plan.disarm();
+    assert_eq!(batch.run(&jobs).succeeded, 3);
 }

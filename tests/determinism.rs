@@ -20,46 +20,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use epgs::{Framework, FrameworkConfig};
 use epgs_circuit::qasm::to_qasm;
 use epgs_corpus::CorpusSpec;
 use epgs_graph::{generators, Graph};
 use epgs_solver::reverse::{solve_with_ordering, solve_with_ordering_in, SolveOptions};
 use epgs_solver::SolverWorkspace;
-
-/// The evaluation-harness configuration (`epgs_bench::bench_framework`).
-fn family_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 7,
-            lc_budget: 8,
-            effort: 8,
-            seed: 0xdac2025,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 8,
-        flexible_slack: 2,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
-}
-
-/// The corpus-batch configuration (`epgs_bench::corpus_framework`).
-fn corpus_framework() -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: 0xdac2025,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
-}
 
 /// Representative instances of the three bench families (`epgs_bench`
 /// sweeps, trimmed to keep the double compile affordable). `lattice-60`
@@ -76,7 +41,7 @@ fn family_instances() -> Vec<(String, Graph)> {
         out.push((format!("tree-{n}"), generators::tree(n, 2)));
     }
     for n in [10usize, 25] {
-        let mut rng = StdRng::seed_from_u64(0xdac2025 ^ n as u64);
+        let mut rng = StdRng::seed_from_u64(epgs_bench::SEED ^ n as u64);
         out.push((
             format!("random-{n}"),
             generators::waxman(n, 0.5, 0.2, &mut rng),
@@ -89,12 +54,12 @@ fn family_instances() -> Vec<(String, Graph)> {
 /// returning `(label, qasm)` pairs.
 fn compile_all() -> Vec<(String, String)> {
     let mut out = Vec::new();
-    let fw = family_framework();
+    let fw = epgs_bench::bench_framework();
     for (label, g) in family_instances() {
         let compiled = fw.compile(&g).unwrap_or_else(|e| panic!("{label}: {e}"));
         out.push((label, to_qasm(&compiled.circuit)));
     }
-    let cfw = corpus_framework();
+    let cfw = epgs_bench::corpus_framework();
     for inst in CorpusSpec::default_corpus().instances() {
         let compiled = cfw
             .compile(&inst.graph)

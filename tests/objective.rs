@@ -1,28 +1,15 @@
 //! Hardware-aware objective layer: bit-identity of the default, platform
 //! divergence, determinism, and the loss figures flowing into reports.
 
-use epgs::{BatchCompiler, BatchInstance, CompileObjective, Framework, FrameworkConfig, Pipeline};
+use epgs::{BatchCompiler, BatchInstance, CompileObjective, Framework, FrameworkConfig};
 use epgs_circuit::simulate::verify_circuit;
 use epgs_corpus::{CorpusSpec, FamilyKind};
 use epgs_graph::generators;
 use epgs_hardware::HardwareModel;
 
-/// The `corpus_framework` configuration of the bench crate, inlined (the
-/// root test package does not depend on `epgs-bench`).
+/// The corpus-batch configuration (`epgs_bench::corpus_framework`).
 fn corpus_config() -> FrameworkConfig {
-    FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: 0xdac2025,
-            ..Default::default()
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    }
+    epgs_bench::corpus_framework().config().clone()
 }
 
 /// The default-corpus instance `watts_strogatz-n10-s3` (see
@@ -108,44 +95,6 @@ fn objective_strategy_selection_is_deterministic() {
         assert_eq!(a.objective, objective);
         assert!(verify_circuit(&a.circuit, &g).unwrap());
     }
-}
-
-#[test]
-fn duration_objective_never_recombines_slower_than_emitters() {
-    // Off one schedule the candidate set is fixed, so the duration
-    // objective picks the candidate with the smallest *scored* duration.
-    // Scoring happens before the peephole cleanup while the durations
-    // compared here are post-cleanup, so this is a seeded regression
-    // check of current behavior rather than a theorem: if it ever fails,
-    // check whether cleanup shortened the default's winner more — that
-    // is legal — before suspecting the objective layer.
-    let pipeline = Pipeline::new(corpus_config());
-    for g in [
-        divergent_instance(),
-        generators::lattice(3, 4),
-        generators::tree(12, 2),
-    ] {
-        let scheduled = pipeline.partition(&g).plan_leaves().unwrap().schedule(3);
-        let default = scheduled.recombine().unwrap();
-        let fast = scheduled
-            .recombine_objective(&CompileObjective::Duration(HardwareModel::quantum_dot()))
-            .unwrap();
-        assert!(fast.metrics().duration <= default.metrics().duration + 1e-9);
-        fast.verify().unwrap();
-    }
-}
-
-#[test]
-fn per_call_objective_override_does_not_disturb_the_config() {
-    let pipeline = Pipeline::new(corpus_config());
-    let g = generators::lattice(3, 3);
-    let scheduled = pipeline.partition(&g).plan_leaves().unwrap().schedule(2);
-    let override_obj = CompileObjective::Loss(HardwareModel::siv_center());
-    let overridden = scheduled.recombine_objective(&override_obj).unwrap();
-    assert_eq!(overridden.objective(), &override_obj);
-    // A plain recombine afterwards still runs the configured objective.
-    let plain = scheduled.recombine().unwrap();
-    assert_eq!(plain.objective(), &CompileObjective::Emitters);
 }
 
 #[test]

@@ -27,18 +27,12 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use epgs::{Compiled, Framework, FrameworkConfig};
+use epgs::{Compiled, Framework};
 use epgs_circuit::qasm::to_qasm;
 use epgs_corpus::CorpusSpec;
 use epgs_graph::{generators, Graph};
 use epgs_partition::fm::fm_partition;
 use epgs_partition::{multilevel_partition, PartitionScheme};
-
-/// The evaluation-harness seed (`epgs_bench::SEED`).
-const SEED: u64 = 0xdac2025;
 
 /// FNV-1a, 64 bit — matches the hashes pinned in
 /// `tests/data/flat_qasm_fnv.txt`.
@@ -51,40 +45,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The evaluation-harness configuration (`epgs_bench::bench_framework`)
-/// pinned to an explicit scheme.
-fn family_framework(scheme: PartitionScheme) -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 7,
-            lc_budget: 8,
-            effort: 8,
-            seed: SEED,
-            scheme,
-        },
-        orderings_per_subgraph: 8,
-        flexible_slack: 2,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
-}
-
-/// The corpus-batch configuration (`epgs_bench::corpus_framework`) pinned
-/// to an explicit scheme.
-fn corpus_framework(scheme: PartitionScheme) -> Framework {
-    Framework::new(FrameworkConfig {
-        partition: epgs_partition::PartitionSpec {
-            g_max: 6,
-            lc_budget: 4,
-            effort: 5,
-            seed: SEED,
-            scheme,
-        },
-        orderings_per_subgraph: 6,
-        flexible_slack: 1,
-        verify: true,
-        ..FrameworkConfig::default()
-    })
+/// `base` (an `epgs_bench` framework) pinned to an explicit scheme.
+fn with_scheme(base: Framework, scheme: PartitionScheme) -> Framework {
+    let mut config = base.config().clone();
+    config.partition.scheme = scheme;
+    Framework::new(config)
 }
 
 /// Debug builds drop the two most expensive flat compiles to keep the
@@ -95,32 +60,24 @@ fn debug_trimmed(label: &str) -> bool {
     cfg!(debug_assertions) && matches!(label, "lattice-44" | "lattice-60")
 }
 
-/// The full `epgs_bench` sweeps, reconstructed locally (the test package
-/// does not depend on the bench crate): lattices 12–60, trees 10–40,
-/// Waxman 10–35 with the bench seeding.
+/// The full `epgs_bench` sweeps (lattices 12–60, trees 10–40, Waxman
+/// 10–35), labelled `family-n`.
 fn sweep_instances() -> Vec<(String, Graph)> {
-    let mut out = Vec::new();
-    for k in [3usize, 5, 7, 9, 11, 13, 15] {
-        out.push((format!("lattice-{}", 4 * k), generators::lattice(4, k)));
-    }
-    for n in [10usize, 16, 22, 28, 34, 40] {
-        out.push((format!("tree-{n}"), generators::tree(n, 2)));
-    }
-    for n in [10usize, 15, 20, 25, 30, 35] {
-        let mut rng = StdRng::seed_from_u64(SEED ^ n as u64);
-        out.push((
-            format!("random-{n}"),
-            generators::waxman(n, 0.5, 0.2, &mut rng),
-        ));
-    }
-    out
+    epgs_bench::all_families()
+        .into_iter()
+        .flat_map(|(family, sweep)| {
+            sweep
+                .into_iter()
+                .map(move |(n, g)| (format!("{family}-{n}"), g))
+        })
+        .collect()
 }
 
 /// Compiles every sweep instance (family config) and every default-corpus
 /// instance (corpus config) under the given scheme.
 fn compile_all(scheme: PartitionScheme) -> Vec<(String, Compiled)> {
     let mut out = Vec::new();
-    let fw = family_framework(scheme.clone());
+    let fw = with_scheme(epgs_bench::bench_framework(), scheme.clone());
     for (label, g) in sweep_instances() {
         if debug_trimmed(&label) {
             continue;
@@ -128,7 +85,7 @@ fn compile_all(scheme: PartitionScheme) -> Vec<(String, Compiled)> {
         let compiled = fw.compile(&g).unwrap_or_else(|e| panic!("{label}: {e}"));
         out.push((label, compiled));
     }
-    let cfw = corpus_framework(scheme);
+    let cfw = with_scheme(epgs_bench::corpus_framework(), scheme);
     for inst in CorpusSpec::default_corpus().instances() {
         let compiled = cfw
             .compile(&inst.graph)
@@ -242,8 +199,9 @@ fn multilevel_direct_engine_no_worse_on_large_instances() {
     for (label, g) in instances {
         let n = g.vertex_count();
         let num_blocks = n.div_ceil(g_max);
-        let (ml_assign, ml_cut) = multilevel_partition(&g, num_blocks, g_max, effort, SEED);
-        let (_, fm_cut) = fm_partition(&g, num_blocks, g_max, effort, SEED);
+        let (ml_assign, ml_cut) =
+            multilevel_partition(&g, num_blocks, g_max, effort, epgs_bench::SEED);
+        let (_, fm_cut) = fm_partition(&g, num_blocks, g_max, effort, epgs_bench::SEED);
 
         assert_eq!(ml_assign.len(), n, "{label}: partial assignment");
         let mut sizes = vec![0usize; num_blocks];

@@ -18,7 +18,6 @@ fn quick_config() -> FrameworkConfig {
         .partition_effort(5)
         .orderings_per_subgraph(5)
         .flexible_slack(1)
-        .seed(3)
         .build()
 }
 
@@ -155,14 +154,21 @@ fn two_pipelines_same_seed_agree_end_to_end() {
 #[test]
 fn direct_solve_only_pipeline_skips_partition_benefits_but_still_verifies() {
     let config = FrameworkConfig::builder()
-        .recombine(vec![RecombineStrategy::DirectSolve])
         .g_max(7)
         .lc_budget(0)
         .partition_effort(4)
         .orderings_per_subgraph(4)
         .build();
     let g = generators::tree(12, 2);
-    let compiled = Pipeline::new(config).compile(&g).unwrap();
+    let pipeline = Pipeline::new(config);
+    let planned = pipeline.partition(&g).plan_leaves().unwrap();
+    let budget = pipeline.config().emitter_budget.resolve(planned.ne_min());
+    let compiled = planned
+        .schedule(budget)
+        .recombine_with(&[RecombineStrategy::DirectSolve])
+        .unwrap()
+        .verify()
+        .unwrap();
     assert_eq!(compiled.strategy, RecombineStrategy::DirectSolve);
     assert!(verify_circuit(&compiled.circuit, &g).unwrap());
 }
