@@ -10,10 +10,10 @@
 //! `cargo run --release -p epgs-bench --bin corpus_run -- \
 //!     [--spec FILE.json] [--out FILE.json] [--passes N] [--store DIR]`
 //!
-//! With `--store DIR` the compiler persists every artifact in a
-//! content-addressed on-disk store, so a *second process* run over the
-//! same corpus and directory serves its expensive prefixes from disk
-//! (reported as `disk_hits`).
+//! With `--store DIR` the compiler persists every partition search result
+//! in a content-addressed on-disk store, so a *second process* run over
+//! the same corpus and directory skips the search, replanning the leaves
+//! from disk (reported as `disk_hits`).
 
 use std::fs;
 use std::process::ExitCode;

@@ -1,49 +1,48 @@
-//! Versioned serialization of [`Planned`] artifacts — the wire/disk format
-//! behind the on-disk [`ArtifactStore`](crate::store::ArtifactStore).
+//! Versioned serialization of [`Partitioned`] artifacts — the wire/disk
+//! format behind the on-disk [`ArtifactStore`](crate::store::ArtifactStore).
 //!
 //! An artifact document is a JSON envelope around a payload object:
 //!
 //! ```text
-//! {"format":"epgs-planned","version":1,
+//! {"format":"epgs-planned","version":2,
 //!  "canonical":"<16-hex>","config":"<16-hex>","checksum":"<16-hex>",
-//!  "payload":{target, ne_min, partition, plans}}
+//!  "payload":{"target":{"n":..,"edges":[..]},"block_of":[..],"lc_sequence":[..]}}
 //! ```
 //!
-//! The payload carries everything [`Planned`] owns: the exact target graph
-//! (so readers can confirm content-addressed lookups against the *exact*
-//! labeling, exactly like the in-memory cache), the refined partition, and
-//! every per-leaf plan including compiled circuits. Round-trips are
-//! **bit-identical**: `f64` fields travel as 16-digit hex renderings of
-//! their IEEE bit patterns, never as decimal JSON numbers, so a decoded
-//! artifact schedules/recombines to byte-identical circuits.
+//! The payload is the result of the expensive partition + LC search (paper
+//! §IV.A) and nothing derived from it: the exact target graph (so readers
+//! can confirm content-addressed lookups against the *exact* labeling,
+//! exactly like the in-memory cache), the block of every vertex, and the
+//! LC sequence. [`decode`] rebuilds the transformed graph, the cut and
+//! `Ne_min` from those, and a disk hit reruns the cheap, deterministic
+//! leaf stage ([`plan_leaves`](crate::Partitioned::plan_leaves)) to get
+//! the plans back. The payload holds only integers, so a round trip
+//! re-encodes to identical bytes.
 //!
 //! The checksum is FNV-1a over the serialized payload bytes. A flipped bit
 //! inside the payload either breaks the JSON grammar (parse error) or
-//! changes the re-serialized bytes (checksum mismatch); both are reported
-//! as [`ArtifactError`] and degrade to a recompile at the store layer,
-//! mirroring the in-memory corruption guard.
+//! changes the re-serialized bytes (checksum mismatch). A payload whose
+//! checksum holds but whose partition is invalid is rejected as
+//! [`ArtifactError::Malformed`]. Each of these degrades to a recompile at
+//! the store layer, mirroring the in-memory corruption guard.
 
 use std::fmt;
 use std::sync::Arc;
 
-use epgs_circuit::{Circuit, Op, Qubit};
 use epgs_corpus::json::{JsonError, Value, Writer};
 use epgs_graph::canon::fnv1a_all;
-use epgs_graph::Graph;
+use epgs_graph::{ops, Graph};
 use epgs_partition::Partition;
-use epgs_stabilizer::Pauli;
 
 use crate::batch::CacheKey;
-use crate::stages::planned::PlannedData;
-use crate::stages::{Pipeline, Planned};
-use crate::subgraph::{SubgraphPlan, SubgraphVariant};
+use crate::stages::{Partitioned, Pipeline};
 
 /// Format tag every artifact document carries.
 pub const FORMAT: &str = "epgs-planned";
 
 /// Current artifact schema version. Readers reject any other version —
 /// artifacts are cache entries, so "reject and recompile" is always sound.
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
 
 /// Why an artifact document could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,146 +121,20 @@ fn write_usize_arr(w: &mut Writer, key: &str, xs: &[usize]) {
     w.end_arr();
 }
 
-/// `f64`s travel as bit patterns so round-trips are exact by construction.
-fn write_f64_bits_arr(w: &mut Writer, key: &str, xs: &[f64]) {
-    w.key(key);
-    w.begin_arr();
-    for &x in xs {
-        w.hex(x.to_bits());
-    }
-    w.end_arr();
-}
-
-fn qubit_tag(q: Qubit) -> String {
-    match q {
-        Qubit::Emitter(i) => format!("e{i}"),
-        Qubit::Photon(i) => format!("p{i}"),
-    }
-}
-
-fn write_op(w: &mut Writer, op: &Op) {
-    w.begin_arr();
-    match op {
-        Op::H(q) | Op::S(q) | Op::Sdg(q) | Op::X(q) | Op::Y(q) | Op::Z(q) => {
-            let tag = match op {
-                Op::H(_) => "H",
-                Op::S(_) => "S",
-                Op::Sdg(_) => "SD",
-                Op::X(_) => "X",
-                Op::Y(_) => "Y",
-                _ => "Z",
-            };
-            w.string(tag);
-            w.string(&qubit_tag(*q));
-        }
-        Op::Cz(a, b) => {
-            w.string("CZ");
-            w.uint(*a as u64);
-            w.uint(*b as u64);
-        }
-        Op::Cnot(a, b) => {
-            w.string("CX");
-            w.uint(*a as u64);
-            w.uint(*b as u64);
-        }
-        Op::Emit { emitter, photon } => {
-            w.string("EM");
-            w.uint(*emitter as u64);
-            w.uint(*photon as u64);
-        }
-        Op::MeasureZ {
-            emitter,
-            corrections,
-        } => {
-            w.string("MZ");
-            w.uint(*emitter as u64);
-            w.begin_arr();
-            for (q, p) in corrections {
-                w.begin_arr();
-                w.string(&qubit_tag(*q));
-                w.string(match p {
-                    Pauli::I => "I",
-                    Pauli::X => "X",
-                    Pauli::Y => "Y",
-                    Pauli::Z => "Z",
-                });
-                w.end_arr();
-            }
-            w.end_arr();
-        }
-    }
-    w.end_arr();
-}
-
-fn write_circuit(w: &mut Writer, c: &Circuit) {
-    w.begin_obj();
-    w.field_uint("emitters", c.num_emitters() as u64);
-    w.field_uint("photons", c.num_photons() as u64);
-    w.key("ops");
-    w.begin_arr();
-    for op in c.ops() {
-        write_op(w, op);
-    }
-    w.end_arr();
-    w.end_obj();
-}
-
-fn write_variant(w: &mut Writer, v: &SubgraphVariant) {
-    w.begin_obj();
-    w.field_uint("emitters", v.emitters as u64);
-    w.field_uint("solved_emitters", v.solved.emitters as u64);
-    w.key("circuit");
-    write_circuit(w, &v.solved.circuit);
-    write_usize_arr(w, "ordering", &v.solved.ordering);
-    w.field_hex("duration", v.duration.to_bits());
-    w.field_uint("ee_cnots", v.ee_cnots as u64);
-    w.field_hex("t_loss", v.t_loss.to_bits());
-    write_f64_bits_arr(w, "emission_times", &v.emission_times);
-    write_f64_bits_arr(w, "usage_times", &v.usage.0);
-    write_usize_arr(w, "usage_counts", &v.usage.1);
-    w.end_obj();
-}
-
 /// Renders the payload object (everything under the envelope's `payload`).
-fn encode_payload(planned: &Planned) -> String {
-    let mut w = Writer::with_capacity(4096);
+fn encode_payload(target: &Graph, block_of: &[usize], lc_sequence: &[usize]) -> String {
+    let mut w = Writer::with_capacity(1024);
     w.begin_obj();
     w.key("target");
-    write_graph(&mut w, planned.target());
-    w.field_uint("ne_min", planned.ne_min() as u64);
-    w.key("partition");
-    {
-        let p = planned.partition();
-        w.begin_obj();
-        write_usize_arr(&mut w, "block_of", &p.block_of);
-        write_usize_arr(&mut w, "lc_sequence", &p.lc_sequence);
-        w.field_uint("cut", p.cut as u64);
-        w.key("transformed");
-        write_graph(&mut w, &p.transformed);
-        w.end_obj();
-    }
-    w.key("plans");
-    w.begin_arr();
-    for plan in planned.plans() {
-        w.begin_obj();
-        write_usize_arr(&mut w, "vertices", &plan.vertices);
-        w.key("variants");
-        w.begin_arr();
-        for v in &plan.variants {
-            write_variant(&mut w, v);
-        }
-        w.end_arr();
-        w.end_obj();
-    }
-    w.end_arr();
+    write_graph(&mut w, target);
+    write_usize_arr(&mut w, "block_of", block_of);
+    write_usize_arr(&mut w, "lc_sequence", lc_sequence);
     w.end_obj();
     w.finish()
 }
 
-/// Serializes `planned` into a complete artifact document stored under
-/// `key`.
-pub fn encode(planned: &Planned, key: CacheKey) -> String {
-    let payload = encode_payload(planned);
+/// Wraps a rendered payload in the checksummed envelope.
+fn envelope(key: CacheKey, payload: &str) -> String {
     let mut w = Writer::with_capacity(payload.len() + 160);
     w.begin_obj();
     w.field_str("format", FORMAT);
@@ -269,9 +142,17 @@ pub fn encode(planned: &Planned, key: CacheKey) -> String {
     w.field_hex("canonical", key.canonical);
     w.field_hex("config", key.config);
     w.field_hex("checksum", checksum_bytes(payload.as_bytes()));
-    w.field_raw("payload", &payload);
+    w.field_raw("payload", payload);
     w.end_obj();
     w.finish()
+}
+
+/// Serializes the search result `partitioned` into a complete artifact
+/// document stored under `key`.
+pub fn encode(partitioned: &Partitioned, key: CacheKey) -> String {
+    let p = partitioned.partition();
+    let payload = encode_payload(partitioned.target(), &p.block_of, &p.lc_sequence);
+    envelope(key, &payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -299,10 +180,6 @@ fn hex_u64(v: &Value, what: &str) -> Result<u64, ArtifactError> {
     u64::from_str_radix(s, 16).map_err(|_| malformed(format!("{what}: bad hex")))
 }
 
-fn hex_f64(v: &Value, what: &str) -> Result<f64, ArtifactError> {
-    hex_u64(v, what).map(f64::from_bits)
-}
-
 fn usize_arr(v: &Value, what: &str) -> Result<Vec<usize>, ArtifactError> {
     v.as_arr()
         .ok_or_else(|| malformed(what.to_string()))?
@@ -311,16 +188,7 @@ fn usize_arr(v: &Value, what: &str) -> Result<Vec<usize>, ArtifactError> {
         .collect()
 }
 
-fn f64_bits_arr(v: &Value, what: &str) -> Result<Vec<f64>, ArtifactError> {
-    v.as_arr()
-        .ok_or_else(|| malformed(what.to_string()))?
-        .iter()
-        .map(|x| hex_f64(x, what))
-        .collect()
-}
-
-fn decode_graph(v: &Value) -> Result<Graph, ArtifactError> {
-    let n = need_usize(field(v, "n")?, "graph n")?;
+fn decode_graph(v: &Value, n: usize) -> Result<Graph, ArtifactError> {
     let edges = field(v, "edges")?
         .as_arr()
         .ok_or_else(|| malformed("graph edges"))?
@@ -337,178 +205,71 @@ fn decode_graph(v: &Value) -> Result<Graph, ArtifactError> {
     Graph::from_edges(n, edges).map_err(|e| malformed(format!("graph: {e}")))
 }
 
-fn decode_qubit(v: &Value) -> Result<Qubit, ArtifactError> {
-    let s = v.as_str().ok_or_else(|| malformed("qubit"))?;
-    let idx: usize = s
-        .get(1..)
-        .and_then(|i| i.parse().ok())
-        .ok_or_else(|| malformed(format!("qubit '{s}'")))?;
-    match s.as_bytes().first() {
-        Some(b'e') => Ok(Qubit::Emitter(idx)),
-        Some(b'p') => Ok(Qubit::Photon(idx)),
-        _ => Err(malformed(format!("qubit '{s}'"))),
+/// Rebuilds the target and the search partition from the payload,
+/// validating them as outside input: the checksum only proves the bytes
+/// are the ones written, not that a valid compile wrote them.
+fn decode_payload(payload: &Value, g_max: usize) -> Result<(Graph, Partition), ArtifactError> {
+    let target = field(payload, "target")?;
+    let n = need_usize(field(target, "n")?, "graph n")?;
+    let block_of = usize_arr(field(payload, "block_of")?, "block_of")?;
+    // Checked before anything is sized by `n`: one block id per vertex
+    // bounds `n` by the document's length.
+    if block_of.len() != n {
+        return Err(malformed(format!(
+            "block_of has {} entries for {n} vertices",
+            block_of.len()
+        )));
     }
-}
-
-fn decode_op(v: &Value) -> Result<Op, ArtifactError> {
-    let parts = v.as_arr().ok_or_else(|| malformed("op"))?;
-    let tag = parts
-        .first()
-        .and_then(Value::as_str)
-        .ok_or_else(|| malformed("op tag"))?;
-    let arity = |n: usize| -> Result<(), ArtifactError> {
-        if parts.len() == n + 1 {
-            Ok(())
-        } else {
-            Err(malformed(format!("op {tag}: wrong arity")))
+    let mut sizes = vec![0usize; n];
+    for &b in &block_of {
+        let size = sizes
+            .get_mut(b)
+            .ok_or_else(|| malformed(format!("block id {b} out of range")))?;
+        *size += 1;
+        if *size > g_max {
+            return Err(malformed(format!("block {b} exceeds g_max {g_max}")));
         }
-    };
-    match tag {
-        "H" | "S" | "SD" | "X" | "Y" | "Z" => {
-            arity(1)?;
-            let q = decode_qubit(&parts[1])?;
-            Ok(match tag {
-                "H" => Op::H(q),
-                "S" => Op::S(q),
-                "SD" => Op::Sdg(q),
-                "X" => Op::X(q),
-                "Y" => Op::Y(q),
-                _ => Op::Z(q),
-            })
-        }
-        "CZ" | "CX" => {
-            arity(2)?;
-            let a = need_usize(&parts[1], "two-qubit emitter")?;
-            let b = need_usize(&parts[2], "two-qubit emitter")?;
-            Ok(if tag == "CZ" {
-                Op::Cz(a, b)
-            } else {
-                Op::Cnot(a, b)
-            })
-        }
-        "EM" => {
-            arity(2)?;
-            Ok(Op::Emit {
-                emitter: need_usize(&parts[1], "emit emitter")?,
-                photon: need_usize(&parts[2], "emit photon")?,
-            })
-        }
-        "MZ" => {
-            arity(2)?;
-            let emitter = need_usize(&parts[1], "measure emitter")?;
-            let corrections = parts[2]
-                .as_arr()
-                .ok_or_else(|| malformed("corrections"))?
-                .iter()
-                .map(|c| {
-                    let pair = c.as_arr().filter(|p| p.len() == 2);
-                    let pair = pair.ok_or_else(|| malformed("correction"))?;
-                    let q = decode_qubit(&pair[0])?;
-                    let p = match pair[1].as_str() {
-                        Some("I") => Pauli::I,
-                        Some("X") => Pauli::X,
-                        Some("Y") => Pauli::Y,
-                        Some("Z") => Pauli::Z,
-                        _ => return Err(malformed("correction pauli")),
-                    };
-                    Ok((q, p))
-                })
-                .collect::<Result<Vec<_>, ArtifactError>>()?;
-            Ok(Op::MeasureZ {
-                emitter,
-                corrections,
-            })
-        }
-        other => Err(malformed(format!("unknown op tag '{other}'"))),
     }
-}
-
-fn decode_circuit(v: &Value) -> Result<Circuit, ArtifactError> {
-    let mut c = Circuit::new(
-        need_usize(field(v, "emitters")?, "circuit emitters")?,
-        need_usize(field(v, "photons")?, "circuit photons")?,
-    );
-    for op in field(v, "ops")?
-        .as_arr()
-        .ok_or_else(|| malformed("circuit ops"))?
-    {
-        c.push(decode_op(op)?);
-    }
-    Ok(c)
-}
-
-fn decode_variant(v: &Value) -> Result<SubgraphVariant, ArtifactError> {
-    let usage_times = f64_bits_arr(field(v, "usage_times")?, "usage_times")?;
-    let usage_counts = usize_arr(field(v, "usage_counts")?, "usage_counts")?;
-    Ok(SubgraphVariant {
-        emitters: need_usize(field(v, "emitters")?, "variant emitters")?,
-        solved: epgs_solver::reverse::Solved {
-            circuit: decode_circuit(field(v, "circuit")?)?,
-            emitters: need_usize(field(v, "solved_emitters")?, "solved emitters")?,
-            ordering: usize_arr(field(v, "ordering")?, "ordering")?,
-        },
-        duration: hex_f64(field(v, "duration")?, "duration")?,
-        ee_cnots: need_usize(field(v, "ee_cnots")?, "ee_cnots")?,
-        t_loss: hex_f64(field(v, "t_loss")?, "t_loss")?,
-        emission_times: f64_bits_arr(field(v, "emission_times")?, "emission_times")?,
-        usage: (usage_times, usage_counts),
-    })
-}
-
-fn decode_payload(
-    payload: &Value,
-) -> Result<(Graph, Partition, Vec<SubgraphPlan>, usize), ArtifactError> {
-    let target = decode_graph(field(payload, "target")?)?;
-    let ne_min = need_usize(field(payload, "ne_min")?, "ne_min")?;
-    let p = field(payload, "partition")?;
-    let partition = Partition {
-        block_of: usize_arr(field(p, "block_of")?, "block_of")?,
-        lc_sequence: usize_arr(field(p, "lc_sequence")?, "lc_sequence")?,
-        transformed: decode_graph(field(p, "transformed")?)?,
-        cut: need_usize(field(p, "cut")?, "cut")?,
-        // Degraded plans are never persisted, so a decoded one is pristine
-        // by construction and the codec needs no new field.
+    let target = decode_graph(target, n)?;
+    let lc_sequence = usize_arr(field(payload, "lc_sequence")?, "lc_sequence")?;
+    let mut transformed = target.clone();
+    ops::apply_lc_sequence(&mut transformed, &lc_sequence)
+        .map_err(|e| malformed(format!("lc_sequence: {e}")))?;
+    let mut partition = Partition {
+        block_of,
+        lc_sequence,
+        transformed,
+        cut: 0,
+        // Degraded results are never persisted, so a decoded one is
+        // pristine by construction and the codec needs no field for it.
         degraded: false,
     };
-    let plans = field(payload, "plans")?
-        .as_arr()
-        .ok_or_else(|| malformed("plans"))?
-        .iter()
-        .map(|plan| {
-            let variants = field(plan, "variants")?
-                .as_arr()
-                .ok_or_else(|| malformed("variants"))?
-                .iter()
-                .map(decode_variant)
-                .collect::<Result<Vec<_>, ArtifactError>>()?;
-            if variants.is_empty() {
-                return Err(malformed("plan with no variants"));
-            }
-            Ok(SubgraphPlan {
-                vertices: usize_arr(field(plan, "vertices")?, "vertices")?,
-                variants,
-            })
-        })
-        .collect::<Result<Vec<_>, ArtifactError>>()?;
-    Ok((target, partition, plans, ne_min))
+    partition.cut = partition.recompute_cut();
+    Ok((target, partition))
 }
 
-/// Decodes an artifact document stored under `key` into a [`Planned`]
-/// artifact bound to `pipeline`'s configuration and counters.
+/// Decodes an artifact document stored under `key` into a [`Partitioned`]
+/// search result bound to `pipeline`'s configuration and counters.
 ///
-/// Adoption does **not** count as a plan-stage execution: the pipeline's
-/// `plan` counter only moves for real [`plan_leaves`] runs, which is what
-/// lets tests prove coalescing/cache behavior from stage counters.
+/// Adoption does **not** count as a partition-stage execution: the
+/// pipeline's `partition` counter only moves for real searches. The caller
+/// gets the plans back by running [`plan_leaves`], which is a real plan
+/// run and moves the `plan` counter once per adoption.
 ///
 /// [`plan_leaves`]: crate::Partitioned::plan_leaves
 ///
 /// # Errors
 ///
 /// Any structural problem — bad JSON, schema violations, wrong version,
-/// checksum mismatch, or an envelope key differing from `key` — comes back
-/// as an [`ArtifactError`]; callers are expected to discard the document
-/// and recompile.
-pub fn decode(text: &str, key: CacheKey, pipeline: &Pipeline) -> Result<Planned, ArtifactError> {
+/// checksum mismatch, an envelope key differing from `key`, or a partition
+/// that is invalid for `pipeline`'s `g_max` — comes back as an
+/// [`ArtifactError`]; callers are expected to discard the document and
+/// recompile.
+pub fn decode(
+    text: &str,
+    key: CacheKey,
+    pipeline: &Pipeline,
+) -> Result<Partitioned, ArtifactError> {
     let doc = Value::parse(text)?;
     if field(&doc, "format")?.as_str() != Some(FORMAT) {
         return Err(malformed("not an epgs-planned document"));
@@ -531,16 +292,12 @@ pub fn decode(text: &str, key: CacheKey, pipeline: &Pipeline) -> Result<Planned,
     {
         return Err(ArtifactError::ChecksumMismatch);
     }
-    let (target, partition, plans, ne_min) = decode_payload(payload)?;
-    Ok(Planned {
-        shared: Arc::clone(&pipeline.shared),
-        target: Arc::new(target),
-        data: Arc::new(PlannedData {
-            partition,
-            plans,
-            ne_min,
-        }),
-    })
+    let (target, partition) = decode_payload(payload, pipeline.config().partition.g_max)?;
+    Ok(Partitioned::new(
+        Arc::clone(&pipeline.shared),
+        target,
+        partition,
+    ))
 }
 
 #[cfg(test)]
@@ -548,6 +305,7 @@ mod tests {
     use super::*;
     use crate::batch::config_fingerprint;
     use crate::config::FrameworkConfig;
+    use crate::store::{exact_graph_hash, ArtifactStore};
     use epgs_graph::canon::canonical_hash;
     use epgs_graph::generators;
 
@@ -570,70 +328,45 @@ mod tests {
         }
     }
 
-    fn assert_planned_bit_identical(a: &Planned, b: &Planned) {
-        assert_eq!(a.target(), b.target());
-        assert_eq!(a.ne_min(), b.ne_min());
-        assert_eq!(a.partition(), b.partition());
-        assert_eq!(a.plans().len(), b.plans().len());
-        for (x, y) in a.plans().iter().zip(b.plans()) {
-            assert_eq!(x.vertices, y.vertices);
-            assert_eq!(x.variants.len(), y.variants.len());
-            for (vx, vy) in x.variants.iter().zip(&y.variants) {
-                assert_eq!(vx.emitters, vy.emitters);
-                assert_eq!(vx.solved.circuit, vy.solved.circuit);
-                assert_eq!(vx.solved.emitters, vy.solved.emitters);
-                assert_eq!(vx.solved.ordering, vy.solved.ordering);
-                assert_eq!(vx.duration.to_bits(), vy.duration.to_bits());
-                assert_eq!(vx.ee_cnots, vy.ee_cnots);
-                assert_eq!(vx.t_loss.to_bits(), vy.t_loss.to_bits());
-                assert_eq!(
-                    vx.emission_times
-                        .iter()
-                        .map(|t| t.to_bits())
-                        .collect::<Vec<_>>(),
-                    vy.emission_times
-                        .iter()
-                        .map(|t| t.to_bits())
-                        .collect::<Vec<_>>()
-                );
-                assert_eq!(
-                    vx.usage.0.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-                    vy.usage.0.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
-                );
-                assert_eq!(vx.usage.1, vy.usage.1);
-            }
-        }
-    }
-
     #[test]
     fn round_trip_is_bit_identical_and_schedules_identically() {
         let pipeline = quick_pipeline();
         let g = generators::lattice(3, 4);
-        let planned = pipeline.partition(&g).plan_leaves().unwrap();
+        let partitioned = pipeline.partition(&g);
         let key = key_for(&pipeline, &g);
-        let text = encode(&planned, key);
+        let text = encode(&partitioned, key);
         let decoded = decode(&text, key, &pipeline).expect("decodes");
-        assert_planned_bit_identical(&planned, &decoded);
-        // The cheap suffix produces byte-identical circuits off both.
-        let a = planned.schedule(2).recombine().unwrap().verify().unwrap();
-        let b = decoded.schedule(2).recombine().unwrap().verify().unwrap();
+        assert_eq!(decoded.target(), partitioned.target());
+        assert_eq!(decoded.partition(), partitioned.partition());
+        assert_eq!(decoded.ne_min(), partitioned.ne_min());
+        assert_eq!(encode(&decoded, key), text);
+        // Replanning the decoded search result reproduces the plans, and
+        // the cheap suffix produces byte-identical circuits off both.
+        let fresh = partitioned.plan_leaves().unwrap();
+        let replanned = decoded.plan_leaves().unwrap();
+        assert_eq!(fresh.partition(), replanned.partition());
+        let a = fresh.schedule(2).recombine().unwrap().verify().unwrap();
+        let b = replanned.schedule(2).recombine().unwrap().verify().unwrap();
         assert_eq!(a.circuit, b.circuit);
-        // Adoption did not count as a plan run.
-        assert_eq!(pipeline.counters().plan, 1);
+        // Adoption did not count as a search; each plan_leaves did count.
+        let counts = pipeline.counters();
+        assert_eq!((counts.partition, counts.plan), (1, 2));
     }
 
     #[test]
     fn version_and_key_mismatches_are_rejected() {
         let pipeline = quick_pipeline();
         let g = generators::cycle(7);
-        let planned = pipeline.partition(&g).plan_leaves().unwrap();
         let key = key_for(&pipeline, &g);
-        let text = encode(&planned, key);
+        let text = encode(&pipeline.partition(&g), key);
 
-        let bumped = text.replace("\"version\":1", "\"version\":2");
+        let bumped = text.replace(
+            &format!("\"version\":{VERSION}"),
+            &format!("\"version\":{}", VERSION + 1),
+        );
         assert!(matches!(
             decode(&bumped, key, &pipeline),
-            Err(ArtifactError::VersionMismatch { found: Some(2) })
+            Err(ArtifactError::VersionMismatch { found: Some(v) }) if v == VERSION + 1
         ));
 
         let other = CacheKey {
@@ -650,9 +383,8 @@ mod tests {
     fn corrupted_payloads_fail_the_checksum_or_grammar() {
         let pipeline = quick_pipeline();
         let g = generators::tree(9, 2);
-        let planned = pipeline.partition(&g).plan_leaves().unwrap();
         let key = key_for(&pipeline, &g);
-        let text = encode(&planned, key);
+        let text = encode(&pipeline.partition(&g), key);
 
         // Truncation breaks the grammar.
         assert!(matches!(
@@ -660,8 +392,9 @@ mod tests {
             Err(ArtifactError::Json(_))
         ));
 
-        // Flip one in-payload hex digit: grammar intact, checksum broken.
-        let pos = text.find("\"duration\":\"").expect("duration field") + 12;
+        // Flip the first (single-digit) block id: grammar intact, checksum
+        // broken.
+        let pos = text.find("\"block_of\":[").expect("block_of field") + 12;
         let mut bytes = text.clone().into_bytes();
         bytes[pos] = if bytes[pos] == b'0' { b'1' } else { b'0' };
         let flipped = String::from_utf8(bytes).unwrap();
@@ -669,6 +402,59 @@ mod tests {
             decode(&flipped, key, &pipeline),
             Err(ArtifactError::ChecksumMismatch)
         ));
+    }
+
+    /// A document with a valid checksum around an arbitrary payload for
+    /// `g`: what a buggy writer, or a hand-edited file, would leave.
+    fn checksummed(g: &Graph, key: CacheKey, block_of: &[usize], lc: &[usize]) -> String {
+        envelope(key, &encode_payload(g, block_of, lc))
+    }
+
+    #[test]
+    fn checksummed_but_invalid_partitions_are_malformed_and_discarded() {
+        let pipeline = quick_pipeline();
+        let g = generators::cycle(8);
+        let key = key_for(&pipeline, &g);
+        let valid = [0, 0, 0, 0, 1, 1, 1, 1];
+        assert!(decode(&checksummed(&g, key, &valid, &[3]), key, &pipeline).is_ok());
+        let invalid = [
+            checksummed(&g, key, &valid[..7], &[]), // short block_of
+            checksummed(&g, key, &[0, 0, 0, 0, 0, 0, 1, 1], &[]), // block of 6 > g_max 5
+            checksummed(&g, key, &[0, 0, 0, 0, 9, 1, 1, 1], &[]), // block id out of range
+            checksummed(&g, key, &valid, &[2, 8]),  // LC vertex out of range
+        ];
+        for doc in &invalid {
+            assert!(
+                matches!(
+                    decode(doc, key, &pipeline),
+                    Err(ArtifactError::Malformed(_))
+                ),
+                "{doc}"
+            );
+        }
+
+        // Through the store: each one is a counted discard and a miss, and
+        // a version-1 document is a version rejection instead.
+        let v1 = checksummed(&g, key, &valid, &[])
+            .replace(&format!("\"version\":{VERSION}"), "\"version\":1");
+        let cases = invalid.iter().map(|d| (d, false)).chain([(&v1, true)]);
+        for (i, (doc, version_rejected)) in cases.enumerate() {
+            // A fresh store per case: two strikes on one name would
+            // quarantine it and later loads would not reach the decoder.
+            let dir = std::env::temp_dir()
+                .join(format!("epgs-artifact-invalid-{}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = ArtifactStore::open(&dir).unwrap();
+            let path = dir.join(ArtifactStore::file_name(key, exact_graph_hash(&g)));
+            std::fs::write(&path, doc).unwrap();
+            assert!(store.load(key, &g, &pipeline).is_none());
+            let stats = store.stats();
+            assert_eq!(stats.corrupt_discarded, usize::from(!version_rejected));
+            assert_eq!(stats.version_rejected, usize::from(version_rejected));
+            assert!(!path.exists(), "rejected file deleted");
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

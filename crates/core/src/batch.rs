@@ -328,8 +328,9 @@ impl BatchInstance {
 pub enum CacheOutcome {
     /// Partition + leaf planning were served from the in-memory cache.
     Hit,
-    /// Served from the on-disk [`ArtifactStore`] (and promoted into the
-    /// in-memory cache).
+    /// The partition search was served from the on-disk [`ArtifactStore`];
+    /// leaf planning reran and its plans were promoted into the in-memory
+    /// cache.
     DiskHit,
     /// The full pipeline ran.
     Miss,
@@ -732,9 +733,9 @@ impl BatchCompiler {
 
     /// A batch compiler backed by a persistent [`ArtifactStore`] at `dir`
     /// (created if absent). Lookups layer memory → disk → compile; every
-    /// fresh compile is written through to the store, so artifacts survive
-    /// the process and a rerun over the same corpus hits disk instead of
-    /// recompiling.
+    /// fresh compile writes its partition search result through to the
+    /// store, so a rerun over the same corpus in a new process hits disk
+    /// and pays only the leaf stage and the suffix instead of the search.
     ///
     /// # Errors
     ///
@@ -912,15 +913,20 @@ impl BatchCompiler {
             Some(FaultKind::BitFlip | FaultKind::Crash) | None => {}
         }
         let mut outcome = CacheOutcome::Miss;
-        let mut cached = lock_recover(&self.cache).lookup(key, graph);
+        let mut cached = lock_recover(&self.cache).lookup(key, graph).map(Ok);
         if cached.is_some() {
             outcome = CacheOutcome::Hit;
-        } else if let Some(store) = &self.store {
-            cached = store.load(key, graph, &self.pipeline).inspect(|p| {
-                outcome = CacheOutcome::DiskHit;
-                // Promote to the memory layer so the next lookup is free.
+        } else if let Some(stored) = self
+            .store
+            .as_ref()
+            .and_then(|store| store.load(key, graph, &self.pipeline))
+        {
+            outcome = CacheOutcome::DiskHit;
+            // The store keeps only the search result: rerun the cheap leaf
+            // stage and promote its plans so the next lookup is free.
+            cached = Some(stored.plan_leaves().inspect(|p| {
                 lock_recover(&self.cache).insert(key, graph.clone(), p.clone());
-            });
+            }));
         }
         if cached.is_none() && ctx.expired() {
             // The expensive prefix hasn't started; cancel instead of
@@ -932,25 +938,22 @@ impl BatchCompiler {
         }
         // The planning stage runs outside the cache lock: concurrent misses
         // on the same content may plan twice, but never block each other.
-        let planned = match cached {
-            Some(p) => Ok(p),
-            None => self
+        let planned = cached.unwrap_or_else(|| {
+            let partitioned = self
                 .pipeline
-                .partition_with_control(graph, &self.search_control(ctx))
-                .plan_leaves()
-                .inspect(|p| {
-                    // Degraded plans (deadline-truncated search, multilevel
-                    // fallback) stay out of both cache layers: a transient
-                    // fault must not pin reduced quality for future
-                    // requests.
-                    if !p.partition().degraded {
-                        lock_recover(&self.cache).insert(key, graph.clone(), p.clone());
-                        if let Some(store) = &self.store {
-                            store.save(key, p);
-                        }
+                .partition_with_control(graph, &self.search_control(ctx));
+            partitioned.plan_leaves().inspect(|p| {
+                // Degraded results (deadline-truncated search, multilevel
+                // fallback) stay out of both cache layers: a transient
+                // fault must not pin reduced quality for future requests.
+                if !partitioned.partition().degraded {
+                    lock_recover(&self.cache).insert(key, graph.clone(), p.clone());
+                    if let Some(store) = &self.store {
+                        store.save(key, &partitioned);
                     }
-                }),
-        };
+                }
+            })
+        });
         let degraded = planned
             .as_ref()
             .map(|p| p.partition().degraded)
@@ -1378,9 +1381,10 @@ mod tests {
             batch.compile_instance("again", "lattice", &g).0.cache,
             CacheOutcome::Hit
         );
-        // Disk adoption skipped the expensive stages entirely.
+        // The disk hit skipped the partition search and reran only the
+        // leaf stage, once.
         let counts = batch.pipeline().counters();
-        assert_eq!((counts.partition, counts.plan), (0, 0));
+        assert_eq!((counts.partition, counts.plan), (0, 1));
         // The report surfaces the layered outcome.
         let report = batch.run(&[BatchInstance::new("r", "lattice", g.clone())]);
         assert_eq!(report.cache_hits, 1);

@@ -47,14 +47,21 @@ impl Partitioned {
     ) -> Self {
         let (partition, _report) =
             partition_with_lc_controlled(target, &shared.config.partition, ctrl);
-        let ne_min = ne_min_of(target);
         shared
             .counters
             .partition
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Self::new(shared, target.clone(), partition)
+    }
+
+    /// Wraps a search result for `target` without running the search (and
+    /// without moving the `partition` counter); the artifact codec rebuilds
+    /// stored results through it.
+    pub(crate) fn new(shared: Arc<Shared>, target: Graph, partition: Partition) -> Self {
+        let ne_min = ne_min_of(&target);
         Partitioned {
             shared,
-            target: Arc::new(target.clone()),
+            target: Arc::new(target),
             partition,
             ne_min,
         }

@@ -1,5 +1,13 @@
-//! Content-addressed on-disk store of [`Planned`] artifacts — the durable,
-//! cross-process layer under the in-memory [`ArtifactCache`](crate::ArtifactCache).
+//! Content-addressed on-disk store of [`Partitioned`] search results — the
+//! durable, cross-process layer under the in-memory
+//! [`ArtifactCache`](crate::ArtifactCache).
+//!
+//! The store keeps only what the expensive partition + LC search produced
+//! (see [`crate::artifact`] for the payload). The leaf plans are derived
+//! data: a disk hit reruns the cheap, deterministic
+//! [`plan_leaves`](Partitioned::plan_leaves) stage and promotes the
+//! resulting [`Planned`](crate::Planned) into the memory cache, which keeps
+//! holding plans.
 //!
 //! # Layout
 //!
@@ -23,7 +31,8 @@
 //!   target equals the requested graph byte for byte; relabelings and hash
 //!   collisions are observable misses, never unsound reuse.
 //! * **Corruption degrades to recompile** — truncated, bit-flipped, or
-//!   schema-violating files are deleted on load and counted in
+//!   schema-violating files, and checksummed files whose partition is
+//!   invalid for the configuration, are deleted on load and counted in
 //!   [`StoreStats::corrupt_discarded`]; version-mismatched files are
 //!   deleted and counted in [`StoreStats::version_rejected`].
 //! * **Two strikes and quarantined** — a name whose file fails the
@@ -80,7 +89,7 @@ use epgs_graph::Graph;
 use crate::artifact::{self, ArtifactError};
 use crate::batch::CacheKey;
 use crate::faults::{self, lock_recover, FaultKind, FaultPlan};
-use crate::stages::{Pipeline, Planned};
+use crate::stages::{Partitioned, Pipeline};
 
 /// Filename suffix of every artifact in a store directory.
 const SUFFIX: &str = ".art.json";
@@ -350,7 +359,7 @@ fn parse_manifest(text: &str) -> Option<ManifestData> {
 }
 
 /// A content-addressed, byte-budgeted, crash-tolerant directory of
-/// serialized [`Planned`] artifacts. See the [module docs](self) for the
+/// serialized [`Partitioned`] search results. See the [module docs](self) for the
 /// layout and guarantees.
 ///
 /// The handle is internally synchronized: `&self` methods are safe to call
@@ -647,7 +656,7 @@ impl ArtifactStore {
         lock_recover(&self.index).stats
     }
 
-    fn file_name(key: CacheKey, exact: u64) -> String {
+    pub(crate) fn file_name(key: CacheKey, exact: u64) -> String {
         format!(
             "{:016x}-{:016x}-{exact:016x}{SUFFIX}",
             key.canonical, key.config
@@ -694,12 +703,12 @@ impl ArtifactStore {
         (None, retries, false)
     }
 
-    /// Loads the artifact for exactly `graph` under `key`, binding it to
-    /// `pipeline`. Any invalid file encountered is deleted on first strike
+    /// Loads the search result for exactly `graph` under `key`, binding it
+    /// to `pipeline`. Any invalid file encountered is deleted on first strike
     /// and quarantined on second; see [`StoreStats`] for the per-cause
     /// counters and the [module docs](self) for the retry and quarantine
     /// policies.
-    pub fn load(&self, key: CacheKey, graph: &Graph, pipeline: &Pipeline) -> Option<Planned> {
+    pub fn load(&self, key: CacheKey, graph: &Graph, pipeline: &Pipeline) -> Option<Partitioned> {
         let name = Self::file_name(key, exact_graph_hash(graph));
         let path = self.dir.join(&name);
         if lock_recover(&self.index).quarantined.contains(&name) {
@@ -723,7 +732,7 @@ impl ArtifactStore {
             return None;
         };
         match artifact::decode(&text, key, pipeline) {
-            Ok(planned) if planned.target() == graph => {
+            Ok(partitioned) if partitioned.target() == graph => {
                 let discovered = !index.files.contains_key(&name);
                 if discovered {
                     // Written by another process since our scan.
@@ -741,7 +750,7 @@ impl ArtifactStore {
                 if discovered {
                     self.commit_manifest(&mut index);
                 }
-                Some(planned)
+                Some(partitioned)
             }
             Ok(_) => {
                 // An exact-hash collision: the file belongs to a different
@@ -782,15 +791,15 @@ impl ArtifactStore {
         }
     }
 
-    /// Stores `planned` under `key`, atomically (tmp file + rename), then
+    /// Stores the search result `partitioned` under `key`, atomically (tmp file + rename), then
     /// enforces the byte budget. Transient filesystem failures are retried
     /// with capped backoff; a write that still fails is absorbed into
     /// [`StoreStats::write_errors`] — a failed artifact write must never
     /// fail the compilation that produced it. Quarantined names are never
     /// rewritten.
-    pub fn save(&self, key: CacheKey, planned: &Planned) {
-        let text = artifact::encode(planned, key);
-        let name = Self::file_name(key, exact_graph_hash(planned.target()));
+    pub fn save(&self, key: CacheKey, partitioned: &Partitioned) {
+        let text = artifact::encode(partitioned, key);
+        let name = Self::file_name(key, exact_graph_hash(partitioned.target()));
         if lock_recover(&self.index).quarantined.contains(&name) {
             return;
         }
@@ -975,11 +984,11 @@ mod tests {
         let pipeline = quick_pipeline();
         let g = generators::lattice(3, 3);
         let key = key_for(&pipeline, &g);
-        let planned = pipeline.partition(&g).plan_leaves().unwrap();
+        let partitioned = pipeline.partition(&g);
         {
             let store = ArtifactStore::open(&dir).unwrap();
             assert!(store.load(key, &g, &pipeline).is_none(), "cold store");
-            store.save(key, &planned);
+            store.save(key, &partitioned);
             assert_eq!(store.len(), 1);
             assert!(store.total_bytes() > 0);
             assert!(store.load(key, &g, &pipeline).is_some());
@@ -989,7 +998,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         let loaded = store.load(key, &g, &pipeline).expect("persisted artifact");
         assert_eq!(loaded.target(), &g);
-        assert_eq!(loaded.partition(), planned.partition());
+        assert_eq!(loaded.partition(), partitioned.partition());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1003,8 +1012,8 @@ mod tests {
         assert_eq!(canonical_hash(&g), canonical_hash(&h));
         let key = key_for(&pipeline, &g);
         let store = ArtifactStore::open(&dir).unwrap();
-        store.save(key, &pipeline.partition(&g).plan_leaves().unwrap());
-        store.save(key, &pipeline.partition(&h).plan_leaves().unwrap());
+        store.save(key, &pipeline.partition(&g));
+        store.save(key, &pipeline.partition(&h));
         assert_eq!(store.len(), 2, "distinct labelings, distinct files");
         assert_eq!(store.load(key, &g, &pipeline).unwrap().target(), &g);
         assert_eq!(store.load(key, &h, &pipeline).unwrap().target(), &h);
@@ -1022,24 +1031,21 @@ mod tests {
             generators::cycle(7),
             generators::tree(8, 2),
         ];
-        let planned: Vec<Planned> = graphs
-            .iter()
-            .map(|g| pipeline.partition(g).plan_leaves().unwrap())
-            .collect();
+        let partitioned: Vec<Partitioned> = graphs.iter().map(|g| pipeline.partition(g)).collect();
         let keys: Vec<CacheKey> = graphs.iter().map(|g| key_for(&pipeline, g)).collect();
 
         // Budget sized for roughly two artifacts: measure one first.
         let probe = ArtifactStore::open_with_budget(&dir, u64::MAX).unwrap();
-        probe.save(keys[0], &planned[0]);
+        probe.save(keys[0], &partitioned[0]);
         let one = probe.total_bytes();
         probe.evict(keys[0]);
 
         let store = ArtifactStore::open_with_budget(&dir, one * 2 + one / 2).unwrap();
-        store.save(keys[0], &planned[0]);
-        store.save(keys[1], &planned[1]);
+        store.save(keys[0], &partitioned[0]);
+        store.save(keys[1], &partitioned[1]);
         // Touch #0 so #1 is now least recently used.
         assert!(store.load(keys[0], &graphs[0], &pipeline).is_some());
-        store.save(keys[2], &planned[2]);
+        store.save(keys[2], &partitioned[2]);
         assert!(store.stats().evictions >= 1);
         assert!(
             store.load(keys[1], &graphs[1], &pipeline).is_none(),
@@ -1057,8 +1063,8 @@ mod tests {
         let g = generators::cycle(8);
         let key = key_for(&pipeline, &g);
         let store = ArtifactStore::open(&dir).unwrap();
-        let planned = pipeline.partition(&g).plan_leaves().unwrap();
-        store.save(key, &planned);
+        let partitioned = pipeline.partition(&g);
+        store.save(key, &partitioned);
         let name = ArtifactStore::file_name(key, exact_graph_hash(&g));
         let path = dir.join(&name);
 
@@ -1069,12 +1075,12 @@ mod tests {
         assert_eq!(store.stats().corrupt_discarded, 1);
         assert!(!path.exists(), "corrupt file deleted");
 
-        // Bit flip inside a hex field: valid JSON, checksum mismatch. The
-        // name's second corruption strike quarantines it instead of
-        // deleting.
-        store.save(key, &planned);
+        // Bit flip of the first (single-digit) block id: valid JSON,
+        // checksum mismatch. The name's second corruption strike
+        // quarantines it instead of deleting.
+        store.save(key, &partitioned);
         let text = fs::read_to_string(&path).unwrap();
-        let pos = text.find("\"t_loss\":\"").expect("t_loss field") + 10;
+        let pos = text.find("\"block_of\":[").expect("block_of field") + 12;
         let mut bytes = text.into_bytes();
         bytes[pos] = if bytes[pos] == b'0' { b'1' } else { b'0' };
         fs::write(&path, bytes).unwrap();
@@ -1088,7 +1094,7 @@ mod tests {
 
         // Quarantined names refuse writes and miss on load without a
         // delete/rewrite churn loop.
-        store.save(key, &planned);
+        store.save(key, &partitioned);
         assert!(!path.exists(), "save against a quarantined name is a no-op");
         assert!(store.load(key, &g, &pipeline).is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -1100,12 +1106,12 @@ mod tests {
         let pipeline = quick_pipeline();
         let g = generators::cycle(8);
         let key = key_for(&pipeline, &g);
-        let planned = pipeline.partition(&g).plan_leaves().unwrap();
+        let partitioned = pipeline.partition(&g);
         let name = ArtifactStore::file_name(key, exact_graph_hash(&g));
         {
             let store = ArtifactStore::open(&dir).unwrap();
             for _ in 0..2 {
-                store.save(key, &planned);
+                store.save(key, &partitioned);
                 fs::write(dir.join(&name), "{").unwrap();
                 assert!(store.load(key, &g, &pipeline).is_none());
             }
@@ -1123,7 +1129,7 @@ mod tests {
             store.load(key, &g, &pipeline).is_none(),
             "a fresh process still refuses the quarantined entry"
         );
-        store.save(key, &planned);
+        store.save(key, &partitioned);
         assert!(!dir.join(&name).exists(), "still refuses writes");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1135,7 +1141,7 @@ mod tests {
         let pipeline = quick_pipeline();
         let g = generators::path(7);
         let key = key_for(&pipeline, &g);
-        let planned = pipeline.partition(&g).plan_leaves().unwrap();
+        let partitioned = pipeline.partition(&g);
 
         let mut store = ArtifactStore::open(&dir).unwrap();
         // First read attempt fails, first whole save fails (all 3 write
@@ -1155,11 +1161,11 @@ mod tests {
                     4,
                 ),
         ));
-        store.save(key, &planned);
+        store.save(key, &partitioned);
         let stats = store.stats();
         assert_eq!(stats.write_errors, 1, "3 failed attempts = 1 failed save");
         assert_eq!(stats.write_retries, 2);
-        store.save(key, &planned);
+        store.save(key, &partitioned);
         let stats = store.stats();
         assert_eq!(stats.writes, 1, "second save survives on retry");
         assert_eq!(stats.write_retries, 3);
@@ -1218,10 +1224,7 @@ mod tests {
             let store = ArtifactStore::open(&dir).unwrap();
             assert!(store.recovery().is_clean(), "fresh empty dir is clean");
             for g in &graphs {
-                store.save(
-                    key_for(&pipeline, g),
-                    &pipeline.partition(g).plan_leaves().unwrap(),
-                );
+                store.save(key_for(&pipeline, g), &pipeline.partition(g));
             }
         }
         let store = ArtifactStore::open(&dir).unwrap();
@@ -1258,8 +1261,8 @@ mod tests {
         let name2 = ArtifactStore::file_name(k2, exact_graph_hash(&g2));
         {
             let store = ArtifactStore::open(&dir).unwrap();
-            store.save(k1, &pipeline.partition(&g1).plan_leaves().unwrap());
-            store.save(k2, &pipeline.partition(&g2).plan_leaves().unwrap());
+            store.save(k1, &pipeline.partition(&g1));
+            store.save(k2, &pipeline.partition(&g2));
         }
         // Crash after rename, before commit: a whole artifact the manifest
         // does not know about.
@@ -1317,7 +1320,7 @@ mod tests {
         let one = {
             let store = ArtifactStore::open(&dir).unwrap();
             for (g, &k) in graphs.iter().zip(&keys) {
-                store.save(k, &pipeline.partition(g).plan_leaves().unwrap());
+                store.save(k, &pipeline.partition(g));
             }
             // Touch #0 and #1 so #1's file is most recent and #2 is LRU —
             // an order no mtime or name sort can reproduce by accident.
@@ -1390,11 +1393,12 @@ mod tests {
         let g = generators::path(7);
         let key = key_for(&pipeline, &g);
         let store = ArtifactStore::open(&dir).unwrap();
-        store.save(key, &pipeline.partition(&g).plan_leaves().unwrap());
+        store.save(key, &pipeline.partition(&g));
         let name = ArtifactStore::file_name(key, exact_graph_hash(&g));
         let path = dir.join(&name);
         let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, text.replace("\"version\":1", "\"version\":99")).unwrap();
+        let version = format!("\"version\":{}", artifact::VERSION);
+        fs::write(&path, text.replace(&version, "\"version\":99")).unwrap();
         assert!(store.load(key, &g, &pipeline).is_none());
         let stats = store.stats();
         assert_eq!(stats.version_rejected, 1);

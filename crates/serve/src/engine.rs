@@ -41,7 +41,8 @@ use epgs_graph::Graph;
 pub enum ServeOutcome {
     /// Served from the in-memory artifact cache.
     MemoryHit,
-    /// Served from the on-disk artifact store.
+    /// The partition search came from the on-disk artifact store; only the
+    /// leaf stage and the cheap suffix ran.
     DiskHit,
     /// The full pipeline ran for this request.
     Compiled,

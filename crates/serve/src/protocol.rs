@@ -16,6 +16,9 @@
 //! GRAPH    := {"n":uint, "edges":[[uint,uint],...]}
 //! ```
 //!
+//! A `GRAPH` may declare at most [`MAX_VERTICES`] vertices; a larger `n`
+//! is a `bad_request` that still echoes the id.
+//!
 //! `health` reports the crash-recovery view: a `state` of `ready` or
 //! `degraded` (quarantined artifacts or a dirty `fsck` pass), the store's
 //! [`RecoveryReport`](epgs::RecoveryReport) counters, and — when the daemon
@@ -99,11 +102,23 @@ impl Request {
     }
 }
 
+/// Largest vertex count a request graph may declare. A graph allocates its
+/// adjacency for all `n` vertices up front, so an unchecked client `n`
+/// would abort the process on allocation before any other check ran.
+/// `1 << 16` vertices is about 1.5 MiB of adjacency, far above any size
+/// the benchmarks compile.
+pub const MAX_VERTICES: usize = 1 << 16;
+
 fn parse_graph(v: &Value) -> Result<Graph, String> {
     let n = v
         .get("n")
         .and_then(Value::as_usize)
         .ok_or("graph needs an unsigned 'n'")?;
+    if n > MAX_VERTICES {
+        return Err(format!(
+            "graph has n = {n} vertices, above the limit of {MAX_VERTICES}"
+        ));
+    }
     let edges_val = v
         .get("edges")
         .and_then(Value::as_arr)
@@ -365,4 +380,28 @@ pub fn render_shutdown(id: &Value) -> String {
     w.field_str("op", "shutdown");
     w.end_obj();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_graphs_are_rejected_with_the_request_id_before_allocation() {
+        for op in ["compile", "evict"] {
+            let line =
+                format!(r#"{{"id":1,"op":"{op}","graph":{{"n":1000000000000,"edges":[]}}}}"#);
+            let (id, error) = parse_request(&line).expect_err("n far above the limit");
+            assert_eq!(id, Value::Num(1.0), "{op}");
+            assert!(error.contains("above the limit"), "{op}: {error}");
+        }
+        let at_limit =
+            format!(r#"{{"id":2,"op":"compile","graph":{{"n":{MAX_VERTICES},"edges":[]}}}}"#);
+        match parse_request(&at_limit) {
+            Ok(Request::Compile { graph, .. }) => assert_eq!(graph.vertex_count(), MAX_VERTICES),
+            other => panic!("n at the limit must parse: {other:?}"),
+        }
+        let over = at_limit.replace(&MAX_VERTICES.to_string(), &(MAX_VERTICES + 1).to_string());
+        assert!(parse_request(&over).is_err());
+    }
 }

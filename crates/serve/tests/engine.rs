@@ -148,8 +148,11 @@ fn restart_serves_the_corpus_from_disk_with_byte_identical_qasm() {
         "restart hit rate {disk_hits}/{} below 90%",
         zoo.len()
     );
-    // Disk adoption skipped the expensive stages entirely.
-    assert_eq!(engine.batch().pipeline().counters().plan, 0);
+    // Each disk hit skipped the partition search and reran only the leaf
+    // stage, once.
+    let counts = engine.batch().pipeline().counters();
+    assert_eq!(counts.partition, 0);
+    assert_eq!(counts.plan, disk_hits);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

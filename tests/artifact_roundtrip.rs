@@ -1,15 +1,16 @@
-//! Property test pinning the on-disk artifact codec: serializing a
-//! [`epgs::Planned`] and deserializing it back must reproduce the exact
-//! bit pattern — re-encoding the decoded artifact yields the identical
-//! byte string — across all five generator families of the batch corpus.
+//! Property test pinning the on-disk artifact codec across all five
+//! generator families of the batch corpus. The store keeps only the
+//! partition search result; a disk hit reruns the leaf stage. So:
 //!
-//! Bit-identity is what makes the store trustworthy: every float crosses
-//! the codec as its `to_bits()` hex image, so a disk round trip can never
-//! perturb a duration, loss figure, or emission time by even one ULP.
+//! * re-encoding a decoded artifact yields the identical byte string;
+//! * `decode` → `plan_leaves()` reproduces the freshly planned artifact —
+//!   its partition, every leaf plan (floats compared bit for bit), and the
+//!   final QASM.
 
 use proptest::prelude::*;
 
-use epgs::{artifact, config_fingerprint, CacheKey, FrameworkConfig, Pipeline};
+use epgs::{artifact, config_fingerprint, CacheKey, FrameworkConfig, Pipeline, Planned};
+use epgs_circuit::qasm;
 use epgs_graph::canon::canonical_hash;
 use epgs_graph::{generators, Graph};
 use rand::rngs::StdRng;
@@ -39,6 +40,33 @@ fn family_graph(family: usize, size_sel: u8, seed: u64) -> Graph {
     }
 }
 
+/// Every leaf plan field, with floats as their bit patterns.
+fn plan_bits(planned: &Planned) -> Vec<String> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    planned
+        .plans()
+        .iter()
+        .flat_map(|plan| {
+            plan.variants.iter().map(move |v| {
+                format!(
+                    "{:?} {} {:?} {} {:?} {} {} {} {:?} {:?} {:?}",
+                    plan.vertices,
+                    v.emitters,
+                    v.solved.circuit,
+                    v.solved.emitters,
+                    v.solved.ordering,
+                    v.duration.to_bits(),
+                    v.ee_cnots,
+                    v.t_loss.to_bits(),
+                    bits(&v.emission_times),
+                    bits(&v.usage.0),
+                    v.usage.1,
+                )
+            })
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -50,19 +78,24 @@ proptest! {
     ) {
         let pipeline = quick_pipeline();
         let g = family_graph(family, size_sel, seed);
-        let planned = pipeline.partition(&g).plan_leaves().expect("plans");
+        let partitioned = pipeline.partition(&g);
         let key = CacheKey {
             canonical: canonical_hash(&g),
             config: config_fingerprint(pipeline.config()),
         };
-        let text = artifact::encode(&planned, key);
+        let text = artifact::encode(&partitioned, key);
         let decoded = artifact::decode(&text, key, &pipeline).expect("decodes");
-        // Bit-identity: the decoded artifact re-encodes to the same bytes.
+        // The decoded artifact re-encodes to the same bytes.
         prop_assert_eq!(artifact::encode(&decoded, key), text);
-        // And the decoded prefix is a drop-in replacement for the cheap
-        // suffix stages.
-        let a = planned.schedule(2).recombine().expect("recombine").verify().expect("verify");
-        let b = decoded.schedule(2).recombine().expect("recombine").verify().expect("verify");
-        prop_assert_eq!(a.circuit, b.circuit);
+        prop_assert_eq!(decoded.partition(), partitioned.partition());
+        // Replanning it reproduces the fresh plans and the final circuit.
+        let fresh = partitioned.plan_leaves().expect("plans");
+        let replanned = decoded.plan_leaves().expect("replans");
+        prop_assert_eq!(replanned.partition(), fresh.partition());
+        prop_assert_eq!(replanned.ne_min(), fresh.ne_min());
+        prop_assert_eq!(plan_bits(&replanned), plan_bits(&fresh));
+        let a = fresh.schedule(2).recombine().expect("recombine").verify().expect("verify");
+        let b = replanned.schedule(2).recombine().expect("recombine").verify().expect("verify");
+        prop_assert_eq!(qasm::to_qasm(&a.circuit), qasm::to_qasm(&b.circuit));
     }
 }
