@@ -71,7 +71,7 @@ impl Scheduled {
     /// Stage 4: recombines the scheduled leaf circuits into one global
     /// circuit. Every [`RecombineStrategy`] competes and the best circuit
     /// under the configured [objective](crate::FrameworkConfig::objective)
-    /// wins.
+    /// wins, ties going to the earlier candidate.
     ///
     /// # Errors
     ///

@@ -4,18 +4,19 @@
 //! partition (§IV.A, Fig. 7). This module reproduces that search as a beam
 //! search: each beam state is a graph (the original transformed by an LC
 //! prefix); expanding a state applies one more LC; states are scored by the
-//! best cut the FM partitioner finds on them. The incumbent over all visited
+//! best cut the scheme's partitioner finds on them (multilevel by default,
+//! flat FM under [`PartitionScheme::Flat`]). The incumbent over all visited
 //! states — not just the deepest — is returned, so l = 0 is always a lower
 //! bound on quality.
 //!
 //! Expansion is engineered for throughput: beam states are scored **in
 //! parallel** (one task per state), each task walks its candidate vertices
 //! by **apply → score → undo** on a single working graph (LC is self-inverse
-//! at a fixed vertex), and only the `BEAM_WIDTH` surviving candidates are
-//! ever materialized as graphs — the old code cloned the graph per
-//! candidate, ~`n·BEAM_WIDTH` clones per depth. Candidate order, scores,
-//! incumbent updates, and tie-breaks replicate the sequential loop exactly,
-//! so the returned partition is bit-identical.
+//! at a fixed vertex), and per depth only the `BEAM_WIDTH` surviving
+//! candidates and at most one new incumbent are materialized as graphs,
+//! not one clone per candidate (~`n·BEAM_WIDTH` per depth). Candidate
+//! order, scores, incumbent updates, and tie-breaks replicate the
+//! sequential loop exactly, so the returned partition is bit-identical.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,9 +39,9 @@ struct Scored {
     state: usize,
     /// The vertex complemented.
     v: usize,
-    /// FM assignment of the expanded graph.
+    /// Partitioner assignment of the expanded graph.
     assign: Vec<usize>,
-    /// FM cut of the expanded graph.
+    /// Partitioner cut of the expanded graph.
     cut: usize,
     /// Edge count of the expanded graph (sort tie-break).
     edges: usize,
@@ -149,7 +150,7 @@ pub fn partition_with_lc_controlled(
         }
         // Score every expansion of every beam state, beam-states in
         // parallel. Each task owns one working graph and applies/undoes the
-        // LC around the FM call instead of cloning per candidate.
+        // LC around the scoring call instead of cloning per candidate.
         let salt = depth as u64 + 1;
         let scored: Vec<Vec<Scored>> = (0..beam.len())
             .into_par_iter()
@@ -184,24 +185,32 @@ pub fn partition_with_lc_controlled(
             })
             .collect();
 
-        // Incumbent updates, replayed in the sequential candidate order.
+        // Incumbent updates, replayed in the sequential candidate order. Only
+        // the last improving candidate survives the round, so it alone is
+        // materialized as a graph.
         let mut any = false;
+        let (mut best_cut, mut best_edges) = (best.cut, best.transformed.edge_count());
+        let mut improved: Option<&Scored> = None;
         for s in scored.iter().flatten() {
             any = true;
-            if s.cut < best.cut || (s.cut == best.cut && s.edges < best.transformed.edge_count()) {
-                let (graph, seq, _) = &beam[s.state];
-                let mut transformed = graph.clone();
-                ops::local_complement(&mut transformed, s.v).expect("vertex in range");
-                let mut lc_sequence = seq.clone();
-                lc_sequence.push(s.v);
-                best = Partition {
-                    block_of: s.assign.clone(),
-                    lc_sequence,
-                    transformed,
-                    cut: s.cut,
-                    degraded: false,
-                };
+            if s.cut < best_cut || (s.cut == best_cut && s.edges < best_edges) {
+                (best_cut, best_edges) = (s.cut, s.edges);
+                improved = Some(s);
             }
+        }
+        if let Some(s) = improved {
+            let (graph, seq, _) = &beam[s.state];
+            let mut transformed = graph.clone();
+            ops::local_complement(&mut transformed, s.v).expect("vertex in range");
+            let mut lc_sequence = seq.clone();
+            lc_sequence.push(s.v);
+            best = Partition {
+                block_of: s.assign.clone(),
+                lc_sequence,
+                transformed,
+                cut: s.cut,
+                degraded: false,
+            };
         }
         if !any {
             break;

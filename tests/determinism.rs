@@ -4,11 +4,11 @@
 //! the block-local LC refinement in `Planned::build`, and the LC beam
 //! scoring in the partitioner, and threaded reusable `SolverWorkspace`s
 //! through the hot solve loops; the multilevel partitioner's proposal pass
-//! later joined them. All of that is engineered to be
-//! *bit-identical* to the sequential code paths: winners are tie-broken by
-//! candidate index, speculative LC chains are replayed sequentially under
-//! the global budget, and a workspace carries no state between solves.
-//! This suite pins those guarantees down:
+//! and the recombine candidate solves later joined them. All of that is
+//! engineered to be *bit-identical* to the sequential code paths: winners
+//! are tie-broken by candidate index, speculative LC chains are replayed
+//! sequentially under the global budget, and a workspace carries no state
+//! between solves. This suite pins those guarantees down:
 //!
 //! * compiled circuits (QASM dump) are byte-identical between the default
 //!   parallel path and the forced-sequential path (`RAYON_NUM_THREADS=1`)
@@ -31,7 +31,9 @@ use epgs_solver::SolverWorkspace;
 /// sits above the multilevel coarsening cutoff (48 vertices with the
 /// default options), so the byte-identity check also covers the coarsen →
 /// initial-partition → uncoarsen path, not just the sub-cutoff delegation
-/// to the flat engine.
+/// to the flat engine. `lattice-60` and `rr3-64` sit above the recombine
+/// stage's parallel cutoff (48 vertices), so the check covers the
+/// concurrent candidate solves and their in-order fold as well.
 fn family_instances() -> Vec<(String, Graph)> {
     let mut out = Vec::new();
     for k in [3usize, 7, 15] {
@@ -47,6 +49,8 @@ fn family_instances() -> Vec<(String, Graph)> {
             generators::waxman(n, 0.5, 0.2, &mut rng),
         ));
     }
+    let mut rng = StdRng::seed_from_u64(epgs_bench::SEED);
+    out.push(("rr3-64".into(), generators::random_regular(64, 3, &mut rng)));
     out
 }
 

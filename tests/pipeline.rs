@@ -172,3 +172,33 @@ fn direct_solve_only_pipeline_skips_partition_benefits_but_still_verifies() {
     assert_eq!(compiled.strategy, RecombineStrategy::DirectSolve);
     assert!(verify_circuit(&compiled.circuit, &g).unwrap());
 }
+
+#[test]
+fn failed_recombine_candidates_are_recorded_in_candidate_order() {
+    // At Ne_limit 6 both schedule candidates of tree(100, 2) and one of the
+    // three direct-solve orderings exhaust their emitter pool; another direct
+    // ordering still wins, and the three failures are listed, not masked.
+    let planned = epgs_bench::bench_framework()
+        .pipeline()
+        .partition(&generators::tree(100, 2))
+        .plan_leaves()
+        .unwrap();
+    let recombined = planned.schedule(6).recombine().unwrap();
+    assert_eq!(recombined.strategy(), RecombineStrategy::DirectSolve);
+    let failed: Vec<RecombineStrategy> = recombined
+        .failed_candidates()
+        .iter()
+        .map(|(s, _)| *s)
+        .collect();
+    assert_eq!(
+        failed,
+        [
+            RecombineStrategy::ScheduledInterleave,
+            RecombineStrategy::BlockSequential,
+            RecombineStrategy::DirectSolve,
+        ]
+    );
+    for (strategy, msg) in recombined.failed_candidates() {
+        assert!(msg.contains("exhausted"), "{strategy:?}: {msg}");
+    }
+}
