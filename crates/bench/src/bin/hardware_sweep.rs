@@ -1,8 +1,8 @@
 //! Multi-objective hardware sweep: a Pareto front per corpus instance.
 //!
 //! For each selected corpus instance and each hardware preset, the sweep
-//! compiles under a `Duration(preset)` objective at several emitter
-//! budgets, reusing the staged [`Planned`](epgs::Planned) artifact across
+//! compiles for that preset (`config.hardware`) under the `Duration`
+//! objective at several emitter budgets, reusing the staged [`Planned`](epgs::Planned) artifact across
 //! the budget axis (partition + leaf planning run once per preset). Every
 //! compiled point records its emitter demand, platform duration, and mean
 //! photon loss; the per-instance Pareto front over
@@ -151,8 +151,8 @@ fn main() -> ExitCode {
             // once and shared across the whole budget axis (the PR-1
             // sweep fast path).
             let mut config = base_config.clone();
-            config.objective = CompileObjective::Duration(hw.clone());
-            config.set_platform(hw.clone());
+            config.objective = CompileObjective::Duration;
+            config.hardware = hw.clone();
             let pipeline = Pipeline::new(config);
             let planned = match pipeline.partition(&inst.graph).plan_leaves() {
                 Ok(p) => p,

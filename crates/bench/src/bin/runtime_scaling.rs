@@ -150,7 +150,7 @@ fn main() -> ExitCode {
             }
         };
         let t_plan = t0.elapsed().as_secs_f64();
-        let budget = pipeline.config().emitter_budget.resolve(planned.ne_min());
+        let budget = planned.configured_budget();
         let t0 = Instant::now();
         let scheduled = planned.schedule(budget);
         let t_schedule = t0.elapsed().as_secs_f64();

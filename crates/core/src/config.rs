@@ -3,42 +3,33 @@
 use epgs_hardware::{CompileObjective, HardwareModel};
 use epgs_partition::{PartitionScheme, PartitionSpec};
 
-/// How many emitters the hardware offers the scheduler (paper §V.B.2 uses
-/// `1.5 × Ne_min` and `2 × Ne_min`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EmitterBudget {
-    /// A multiple of the target graph's minimal emitter count.
-    Factor(f64),
-    /// An absolute emitter count.
-    Absolute(usize),
-}
+/// The default emitter budget `Ne_limit` is this multiple of the target's
+/// `Ne_min` (paper §V.B.2 uses `1.5 × Ne_min` and `2 × Ne_min`; other
+/// budgets go through [`crate::Framework::compile_with_budget`] or
+/// [`crate::Planned::schedule`]).
+pub(crate) const BUDGET_FACTOR: f64 = 1.5;
 
-impl EmitterBudget {
-    /// Resolves the budget against a minimal emitter count.
-    pub fn resolve(self, ne_min: usize) -> usize {
-        match self {
-            EmitterBudget::Factor(f) => ((ne_min as f64 * f).ceil() as usize).max(1),
-            EmitterBudget::Absolute(n) => n.max(1),
-        }
-    }
+/// The default emitter budget for a target: `⌈1.5 · Ne_min⌉`, at least 1.
+pub(crate) fn default_budget(ne_min: usize) -> usize {
+    ((ne_min as f64 * BUDGET_FACTOR).ceil() as usize).max(1)
 }
 
 /// Complete configuration of the compilation framework.
 ///
 /// Recombination always runs every
-/// [`RecombineStrategy`](crate::RecombineStrategy) and the final circuit is
-/// always verified; neither is configurable.
+/// [`RecombineStrategy`](crate::RecombineStrategy), the final circuit is
+/// always verified, and [`crate::Framework::compile`] always schedules
+/// under `⌈1.5 · Ne_min⌉` emitters; none of these is configurable.
 ///
 /// Construct via [`FrameworkConfig::builder`] (or struct update off
 /// [`FrameworkConfig::default`]):
 ///
 /// ```
-/// use epgs::{EmitterBudget, FrameworkConfig};
+/// use epgs::FrameworkConfig;
 ///
 /// let config = FrameworkConfig::builder()
 ///     .g_max(7)
 ///     .lc_budget(15)
-///     .emitter_budget(EmitterBudget::Factor(1.5))
 ///     .flexible_slack(2)
 ///     .build();
 /// assert_eq!(config.partition.g_max, 7);
@@ -47,17 +38,15 @@ impl EmitterBudget {
 pub struct FrameworkConfig {
     /// Partitioning parameters (g_max, LC budget l, search effort).
     pub partition: PartitionSpec,
-    /// Hardware timing/loss model used for scheduling and reported metrics.
+    /// Hardware timing/loss model: the one platform candidates are
+    /// scheduled, scored and reported under.
     pub hardware: HardwareModel,
     /// What candidate circuits compete on — leaf-variant selection and
-    /// recombination both minimize this. Objectives that name a
-    /// [`HardwareModel`] score candidates under *that* platform;
-    /// [`CompileObjective::Emitters`] (the default) scores under
-    /// [`FrameworkConfig::hardware`] and reproduces the paper's
-    /// lexicographic (#ee-CNOT, `T_loss`, duration) order exactly.
+    /// recombination both minimize this, with every figure computed under
+    /// [`FrameworkConfig::hardware`]. [`CompileObjective::Emitters`] (the
+    /// default) reproduces the paper's lexicographic (#ee-CNOT, `T_loss`,
+    /// duration) order exactly.
     pub objective: CompileObjective,
-    /// Emitter budget Ne_limit.
-    pub emitter_budget: EmitterBudget,
     /// Candidate emission orderings explored per subgraph.
     pub orderings_per_subgraph: usize,
     /// Flexible-resource slack: each subgraph is also compiled with
@@ -71,7 +60,6 @@ impl Default for FrameworkConfig {
             partition: PartitionSpec::default(),
             hardware: HardwareModel::quantum_dot(),
             objective: CompileObjective::Emitters,
-            emitter_budget: EmitterBudget::Factor(1.5),
             orderings_per_subgraph: 8,
             flexible_slack: 2,
         }
@@ -84,17 +72,6 @@ impl FrameworkConfig {
         FrameworkConfigBuilder {
             config: FrameworkConfig::default(),
         }
-    }
-
-    /// Targets a platform end to end: sets [`FrameworkConfig::hardware`]
-    /// *and* re-targets any hardware-carrying objective at the same
-    /// preset, so scoring and reporting agree. The single owner of that
-    /// consistency invariant — prefer it over assigning the two fields
-    /// separately ([`FrameworkConfigBuilder::platform`] and the bench
-    /// drivers all route through here).
-    pub fn set_platform(&mut self, hardware: HardwareModel) {
-        self.objective = std::mem::take(&mut self.objective).with_hardware(hardware.clone());
-        self.hardware = hardware;
     }
 }
 
@@ -151,32 +128,6 @@ impl FrameworkConfigBuilder {
         self
     }
 
-    /// Targets a platform end to end: sets [`FrameworkConfig::hardware`]
-    /// *and* re-targets any hardware-carrying objective at the same
-    /// preset, so scoring and reporting agree.
-    ///
-    /// ```
-    /// use epgs::{CompileObjective, FrameworkConfig};
-    /// use epgs_hardware::HardwareModel;
-    ///
-    /// let config = FrameworkConfig::builder()
-    ///     .objective(CompileObjective::Duration(HardwareModel::quantum_dot()))
-    ///     .platform(HardwareModel::rydberg())
-    ///     .build();
-    /// assert_eq!(config.hardware.name, "Rydberg superatom");
-    /// assert_eq!(config.objective.hardware().unwrap().name, "Rydberg superatom");
-    /// ```
-    pub fn platform(mut self, hardware: HardwareModel) -> Self {
-        self.config.set_platform(hardware);
-        self
-    }
-
-    /// Emitter budget `Ne_limit` (factor of `Ne_min` or absolute).
-    pub fn emitter_budget(mut self, budget: EmitterBudget) -> Self {
-        self.config.emitter_budget = budget;
-        self
-    }
-
     /// Candidate emission orderings explored per subgraph.
     pub fn orderings_per_subgraph(mut self, n: usize) -> Self {
         self.config.orderings_per_subgraph = n;
@@ -201,12 +152,10 @@ mod tests {
 
     #[test]
     fn budget_resolution() {
-        assert_eq!(EmitterBudget::Factor(1.5).resolve(4), 6);
-        assert_eq!(EmitterBudget::Factor(2.0).resolve(3), 6);
-        assert_eq!(EmitterBudget::Factor(1.5).resolve(1), 2);
-        assert_eq!(EmitterBudget::Absolute(5).resolve(100), 5);
-        assert_eq!(EmitterBudget::Absolute(0).resolve(3), 1, "clamped to 1");
-        assert_eq!(EmitterBudget::Factor(0.1).resolve(2), 1);
+        assert_eq!(default_budget(4), 6);
+        assert_eq!(default_budget(3), 5);
+        assert_eq!(default_budget(1), 2);
+        assert_eq!(default_budget(0), 1, "clamped to 1");
     }
 
     #[test]
@@ -223,7 +172,6 @@ mod tests {
         let built = FrameworkConfig::builder().build();
         let default = FrameworkConfig::default();
         assert_eq!(built.partition, default.partition);
-        assert_eq!(built.emitter_budget, default.emitter_budget);
         assert_eq!(built.orderings_per_subgraph, default.orderings_per_subgraph);
         assert_eq!(built.flexible_slack, default.flexible_slack);
     }
@@ -235,20 +183,17 @@ mod tests {
             .lc_budget(2)
             .partition_effort(9)
             .partition_scheme(PartitionScheme::Flat)
-            .emitter_budget(EmitterBudget::Absolute(3))
             .orderings_per_subgraph(5)
             .flexible_slack(0)
-            .objective(CompileObjective::Duration(HardwareModel::rydberg()))
+            .hardware(HardwareModel::rydberg())
+            .objective(CompileObjective::Duration)
             .build();
-        assert_eq!(
-            c.objective,
-            CompileObjective::Duration(HardwareModel::rydberg())
-        );
+        assert_eq!(c.hardware, HardwareModel::rydberg());
+        assert_eq!(c.objective, CompileObjective::Duration);
         assert_eq!(c.partition.g_max, 4);
         assert_eq!(c.partition.lc_budget, 2);
         assert_eq!(c.partition.effort, 9);
         assert_eq!(c.partition.scheme, PartitionScheme::Flat);
-        assert_eq!(c.emitter_budget, EmitterBudget::Absolute(3));
         assert_eq!(c.orderings_per_subgraph, 5);
         assert_eq!(c.flexible_slack, 0);
     }

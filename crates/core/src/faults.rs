@@ -400,11 +400,6 @@ impl FaultPlan {
         self.armed.store(false, Ordering::Relaxed);
     }
 
-    /// Whether the plan is still armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
     /// Per-rule hit counts, labeled `point:kind`, in rule order.
     pub fn hits(&self) -> Vec<(String, u64)> {
         self.rules

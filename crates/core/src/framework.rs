@@ -105,8 +105,8 @@ impl Framework {
         self.pipeline().compile(target)
     }
 
-    /// Compiles with a specific emitter budget, overriding the configured
-    /// one (used by the Ne_limit sweeps of the evaluation).
+    /// Compiles with a specific emitter budget in place of the default
+    /// `⌈1.5 · Ne_min⌉` (used by the Ne_limit sweeps of the evaluation).
     ///
     /// For a multi-point sweep prefer [`Framework::sweep`] (or a hand-held
     /// [`Pipeline`]), which runs partition and leaf compilation once.

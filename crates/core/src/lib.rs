@@ -76,10 +76,10 @@
 //! [`FrameworkConfig::objective`] holds a [`CompileObjective`] consumed by
 //! leaf-variant selection and recombination scoring alike. The default,
 //! [`CompileObjective::Emitters`], is the paper's lexicographic
-//! (#ee-CNOT, `T_loss`, duration) order; `Duration(hw)` / `Loss(hw)` /
-//! `Weighted { .. }` re-target the competition at a concrete platform's
-//! timing and loss numbers, so the same graph can compile to different
-//! strategies on different hardware:
+//! (#ee-CNOT, `T_loss`, duration) order; `Duration` minimizes circuit
+//! duration instead. Every figure is computed under the one platform
+//! [`FrameworkConfig::hardware`] names, so the same graph can compile to
+//! different strategies on different hardware:
 //!
 //! ```
 //! use epgs::{CompileObjective, Framework, FrameworkConfig};
@@ -87,11 +87,10 @@
 //! use epgs_hardware::HardwareModel;
 //!
 //! # fn main() -> Result<(), epgs::FrameworkError> {
-//! let rydberg = HardwareModel::rydberg();
 //! let fw = Framework::new(
 //!     FrameworkConfig::builder()
-//!         .objective(CompileObjective::Duration(rydberg.clone()))
-//!         .platform(rydberg)
+//!         .hardware(HardwareModel::rydberg())
+//!         .objective(CompileObjective::Duration)
 //!         .build(),
 //! );
 //! let compiled = fw.compile(&generators::lattice(3, 3))?;
@@ -139,7 +138,7 @@ pub use batch::{
     config_fingerprint, ArtifactCache, BatchCompiler, BatchInstance, BatchReport, CacheKey,
     CacheOutcome, CacheStats, FamilySummary, InstanceMetrics, InstanceReport,
 };
-pub use config::{EmitterBudget, FrameworkConfig, FrameworkConfigBuilder};
+pub use config::{FrameworkConfig, FrameworkConfigBuilder};
 pub use epgs_hardware::{CompileObjective, ObjectiveFigures, ObjectiveScore};
 pub use epgs_partition::{PartitionScheme, PartitionSpec};
 pub use error::FrameworkError;

@@ -151,15 +151,16 @@ impl Pipeline {
         Partitioned::build_controlled(Arc::clone(&self.shared), target, ctrl)
     }
 
-    /// Runs all five stages for `target` under the configured emitter
-    /// budget — the staged equivalent of [`crate::Framework::compile`].
+    /// Runs all five stages for `target` under the default emitter budget
+    /// `⌈1.5 · Ne_min⌉` — the staged equivalent of
+    /// [`crate::Framework::compile`].
     ///
     /// # Errors
     ///
     /// See [`crate::Framework::compile`].
     pub fn compile(&self, target: &Graph) -> Result<Compiled, FrameworkError> {
         let planned = self.partition(target).plan_leaves()?;
-        let ne_limit = self.shared.config.emitter_budget.resolve(planned.ne_min());
+        let ne_limit = planned.configured_budget();
         planned.schedule(ne_limit).recombine()?.verify()
     }
 

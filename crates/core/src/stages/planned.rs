@@ -214,10 +214,10 @@ impl Planned {
         self.data.ne_min
     }
 
-    /// Resolves the configured [`EmitterBudget`](crate::EmitterBudget)
-    /// against this target's `Ne_min`.
+    /// The default emitter budget [`Pipeline::compile`](crate::Pipeline::compile)
+    /// schedules under: `⌈1.5 · Ne_min⌉` for this target, at least 1.
     pub fn configured_budget(&self) -> usize {
-        self.shared.config.emitter_budget.resolve(self.data.ne_min)
+        crate::config::default_budget(self.data.ne_min)
     }
 
     /// Stage 3: packs the leaf circuits as-late-as-possible under

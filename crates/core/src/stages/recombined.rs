@@ -175,10 +175,6 @@ impl Recombined {
             return Err(FrameworkError::NoRecombineStrategy);
         }
 
-        // The platform the objective scores under: its own, if it names
-        // one, else the configured model (Emitters scores the configured
-        // model's T_loss/duration — the paper's default).
-        let score_hw = objective.hardware().unwrap_or(&cfg.hardware);
         let solve = |(strategy, (graph, ord, aff, lc_seq)): (RecombineStrategy, Candidate)| {
             // Each candidate sizes its own pool: the shared budget, raised to
             // that ordering's height-function demand.
@@ -196,7 +192,7 @@ impl Recombined {
                 // circuit delivers |target⟩, not |transformed⟩.
                 append_lc_inverse(&mut circuit, target, lc_seq);
                 let score =
-                    objective.score(&circuit_metrics(score_hw, &circuit).objective_figures());
+                    objective.score(&circuit_metrics(&cfg.hardware, &circuit).objective_figures());
                 (circuit, score)
             });
             (strategy, result)
@@ -250,7 +246,7 @@ impl Recombined {
             global_ordering,
             strategy,
             failed_candidates,
-            objective: objective.clone(),
+            objective: *objective,
         })
     }
 
@@ -460,7 +456,7 @@ mod tests {
         // check whether cleanup shortened the default's winner more — that
         // is legal — before suspecting the objective layer.
         let p = pipeline();
-        let duration = CompileObjective::Duration(epgs_hardware::HardwareModel::quantum_dot());
+        let duration = CompileObjective::Duration;
         // The default corpus's `watts_strogatz-n10-s3`, a known
         // strategy-divergence case.
         let spec = epgs_corpus::CorpusSpec::default_corpus();

@@ -631,11 +631,6 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// The configured byte budget.
-    pub fn byte_budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Number of artifacts currently indexed.
     pub fn len(&self) -> usize {
         lock_recover(&self.index).files.len()

@@ -13,8 +13,8 @@
 //!   enumerable via [`HardwareModel::presets`] / [`HardwareModel::by_name`].
 //! - [`loss`] — the §V.B.3 photon-loss arithmetic ([`loss_report`]).
 //! - [`objective`] — [`CompileObjective`], the hardware-aware answer to
-//!   *what* the compiler should minimize (emitter count, platform
-//!   duration, platform loss, or a weighted blend).
+//!   *what* the compiler should minimize (emitter count or duration on
+//!   the configured platform).
 //!
 //! # Examples
 //!

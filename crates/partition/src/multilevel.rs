@@ -8,9 +8,8 @@
 //! 1. **Coarsen** — deterministic seeded heavy-edge matching folds matched
 //!    vertex pairs into weighted coarse vertices (edge weights accumulate
 //!    multiplicities) until the graph fits under [`COARSEN_CUTOFF`]. Each
-//!    level tries [`MATCHING_ROUNDS`] seeded matchings and keeps the one
-//!    with the fewest coarse vertices (ties: first tried), so the hierarchy
-//!    is a pure function of `(graph, g_max, seed)`.
+//!    level runs one seeded matching, so the hierarchy is a pure function
+//!    of `(graph, g_max, seed)`.
 //! 2. **Initial partition** — the coarse graph is tiny; a weighted
 //!    branch-and-bound (the weighted counterpart of
 //!    [`crate::exact::exact_min_cut`], same symmetry breaking) solves it
@@ -37,9 +36,10 @@
 //! Graphs at or below [`COARSEN_CUTOFF`] delegate to [`fm_partition`] with
 //! identical arguments, reproducing the flat scheme byte for byte there.
 //!
-//! The scheme's three effort knobs are constants: every caller ran them at
-//! one setting, and a knob that never varies cannot be measured. They enter
-//! `epgs::config_fingerprint`, so changing one re-keys cached artifacts.
+//! The scheme's effort knobs ([`COARSEN_CUTOFF`], [`REFINE_PASSES`]) are
+//! constants: every caller ran them at one setting, and a knob that never
+//! varies cannot be measured. They enter `epgs::config_fingerprint`, so
+//! changing one re-keys cached artifacts.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,10 +53,6 @@ use crate::fm::fm_partition;
 /// vertices: small graphs are partitioned directly by the flat FM search,
 /// which is already fast there and exactly reproduces the flat scheme.
 pub const COARSEN_CUTOFF: usize = 48;
-
-/// Seeded heavy-edge matchings tried per coarsening level; the one producing
-/// the fewest coarse vertices wins (ties: first tried).
-pub const MATCHING_ROUNDS: usize = 1;
 
 /// Refinement iterations per level during uncoarsening.
 pub const REFINE_PASSES: usize = 6;
@@ -235,20 +231,12 @@ fn heavy_edge_matching(wg: &WeightedGraph, w_cap: u64, seed: u64) -> (Vec<usize>
     (mate, pairs)
 }
 
-/// One coarsening step: the best of [`MATCHING_ROUNDS`] seeded matchings
-/// folded into a coarse graph. Returns `(coarse, map)` where `map[v]` is the
-/// coarse id of fine vertex `v`, or `None` when no pair matched (no progress
-/// possible).
+/// One coarsening step: a seeded heavy-edge matching folded into a coarse
+/// graph. Returns `(coarse, map)` where `map[v]` is the coarse id of fine
+/// vertex `v`, or `None` when no pair matched (no progress possible).
 pub fn coarsen(wg: &WeightedGraph, w_cap: u64, seed: u64) -> Option<(WeightedGraph, Vec<usize>)> {
     let n = wg.vertex_count();
-    let mut best: Option<(Vec<usize>, usize)> = None;
-    for r in 0..MATCHING_ROUNDS {
-        let (mate, pairs) = heavy_edge_matching(wg, w_cap, seed.wrapping_add(r as u64));
-        if best.as_ref().is_none_or(|(_, bp)| pairs > *bp) {
-            best = Some((mate, pairs));
-        }
-    }
-    let (mate, pairs) = best.expect("at least one matching attempt");
+    let (mate, pairs) = heavy_edge_matching(wg, w_cap, seed);
     if pairs == 0 {
         return None;
     }

@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::process::{Child, ChildStdin, Command, ExitCode, Stdio};
+use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -71,14 +71,24 @@ struct PendingReq {
     id: Value,
     /// Compile graph key `(canonical, exact)`; only compiles earn strikes.
     key: Option<(u64, u64)>,
+    /// Generation of the last worker this request was written to.
+    sent_to: Option<u64>,
+}
+
+/// The live worker's stdin, tagged with the worker's generation (the
+/// restart count it was spawned at).
+struct WorkerIn {
+    generation: u64,
+    stdin: Box<dyn Write + Send>,
 }
 
 /// State shared between the stdin pump and the respawn loop.
 struct Shared {
     /// Unanswered requests, keyed by rendered id.
     pending: Mutex<HashMap<String, PendingReq>>,
-    /// The live worker's stdin (`None` while crashed/respawning).
-    child_in: Mutex<Option<ChildStdin>>,
+    /// The live worker's stdin (`None` while crashed/respawning). Lock
+    /// order: `child_in` before `pending`.
+    child_in: Mutex<Option<WorkerIn>>,
     /// Crash strikes per graph key.
     strikes: Mutex<HashMap<(u64, u64), u32>>,
     /// Worker respawns so far.
@@ -90,11 +100,26 @@ struct Shared {
     /// Set when a shutdown request was seen.
     shutting_down: AtomicBool,
     seq: AtomicU64,
-    stdout: Mutex<io::Stdout>,
+    stdout: Mutex<Box<dyn Write + Send>>,
     breaker_strikes: u32,
 }
 
 impl Shared {
+    fn new(breaker_strikes: u32, backoff: Duration, stdout: Box<dyn Write + Send>) -> Shared {
+        Shared {
+            pending: Mutex::new(HashMap::new()),
+            child_in: Mutex::new(None),
+            strikes: Mutex::new(HashMap::new()),
+            restarts: AtomicU64::new(0),
+            backoff_ms: AtomicU64::new(backoff.as_millis() as u64),
+            eof: AtomicBool::new(false),
+            shutting_down: AtomicBool::new(false),
+            seq: AtomicU64::new(0),
+            stdout: Mutex::new(stdout),
+            breaker_strikes,
+        }
+    }
+
     fn write_out(&self, response: &str) {
         let mut out = lock_recover(&self.stdout);
         let _ = writeln!(out, "{response}");
@@ -174,12 +199,72 @@ impl Shared {
     }
 
     /// Forwards a raw line to the worker if one is alive; a write failure
-    /// (worker died mid-send) is absorbed — the request stays pending and
-    /// is replayed into the next worker.
+    /// (worker died mid-send) is absorbed.
     fn forward(&self, line: &str) {
-        let mut guard = lock_recover(&self.child_in);
-        if let Some(stdin) = guard.as_mut() {
-            let _ = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
+        if let Some(w) = lock_recover(&self.child_in).as_mut() {
+            let _ = writeln!(w.stdin, "{line}").and_then(|()| w.stdin.flush());
+        }
+    }
+
+    /// Registers a request as pending and writes it to the live worker, if
+    /// any; otherwise the next [`Shared::attach`] replays it.
+    fn submit(&self, line: String, id: Value, key: Option<(u64, u64)>) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        lock_recover(&self.pending).insert(
+            id.to_string(),
+            PendingReq {
+                seq,
+                line,
+                id,
+                key,
+                sent_to: None,
+            },
+        );
+        self.dispatch();
+    }
+
+    /// Publishes a freshly spawned worker's stdin and replays every
+    /// unanswered request to it.
+    fn attach(&self, generation: u64, stdin: Box<dyn Write + Send>) {
+        *lock_recover(&self.child_in) = Some(WorkerIn { generation, stdin });
+        self.dispatch();
+    }
+
+    /// Writes every pending request the live worker has not been sent yet,
+    /// in submission order. A request is marked with the worker's
+    /// generation under the `child_in` lock, so each request reaches each
+    /// worker exactly once however [`Shared::submit`] and
+    /// [`Shared::attach`] interleave. A write failure (worker died
+    /// mid-send) is absorbed: the request stays pending and the next
+    /// worker gets it.
+    fn dispatch(&self) {
+        let mut worker = lock_recover(&self.child_in);
+        let Some(w) = worker.as_mut() else { return };
+        let mut lines: Vec<(u64, String)> = lock_recover(&self.pending)
+            .values_mut()
+            .filter(|p| p.sent_to != Some(w.generation))
+            .map(|p| {
+                p.sent_to = Some(w.generation);
+                (p.seq, p.line.clone())
+            })
+            .collect();
+        lines.sort_unstable();
+        for (_, line) in lines {
+            let _ = writeln!(w.stdin, "{line}").and_then(|()| w.stdin.flush());
+        }
+    }
+
+    /// Passes one worker response on to the client, settling the pending
+    /// slot it answers.
+    fn relay(&self, line: &str) {
+        let id = Value::parse(line)
+            .ok()
+            .and_then(|doc| doc.get("id").cloned())
+            .unwrap_or(Value::Null);
+        lock_recover(&self.pending).remove(&id.to_string());
+        match self.annotate_health(line) {
+            Some(annotated) => self.write_out(&annotated),
+            None => self.write_out(line),
         }
     }
 }
@@ -233,17 +318,7 @@ fn pump_stdin(shared: &Shared) {
             shared.write_out(&shared.render_recovering(&id));
             continue;
         }
-        let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-        lock_recover(&shared.pending).insert(
-            id.to_string(),
-            PendingReq {
-                seq,
-                line: line.clone(),
-                id,
-                key,
-            },
-        );
-        shared.forward(&line);
+        shared.submit(line, id, key);
     }
     shared.eof.store(true, Ordering::SeqCst);
     // Closing the worker's stdin lets it drain its queue and exit cleanly.
@@ -252,18 +327,11 @@ fn pump_stdin(shared: &Shared) {
 
 /// Runs the supervision loop; returns the supervisor's exit code.
 pub fn run(opts: SupervisorOptions) -> ExitCode {
-    let shared = Arc::new(Shared {
-        pending: Mutex::new(HashMap::new()),
-        child_in: Mutex::new(None),
-        strikes: Mutex::new(HashMap::new()),
-        restarts: AtomicU64::new(0),
-        backoff_ms: AtomicU64::new(opts.backoff_base.as_millis() as u64),
-        eof: AtomicBool::new(false),
-        shutting_down: AtomicBool::new(false),
-        seq: AtomicU64::new(0),
-        stdout: Mutex::new(io::stdout()),
-        breaker_strikes: opts.breaker_strikes,
-    });
+    let shared = Arc::new(Shared::new(
+        opts.breaker_strikes,
+        opts.backoff_base,
+        Box::new(io::stdout()),
+    ));
     {
         let shared = Arc::clone(&shared);
         thread::spawn(move || pump_stdin(&shared));
@@ -271,7 +339,8 @@ pub fn run(opts: SupervisorOptions) -> ExitCode {
 
     let mut backoff = opts.backoff_base;
     loop {
-        let mut child = match spawn_worker(&opts, &shared) {
+        let generation = shared.restarts.load(Ordering::SeqCst);
+        let mut child = match spawn_worker(&opts, generation) {
             Ok(child) => child,
             Err(e) => {
                 eprintln!("epgs-serve supervisor: cannot spawn worker: {e}");
@@ -280,16 +349,8 @@ pub fn run(opts: SupervisorOptions) -> ExitCode {
         };
         // Replay unanswered requests in submission order, then, if stdin
         // is already gone, close the worker's stdin so it drains and exits.
-        {
-            let pending = lock_recover(&shared.pending);
-            let mut lines: Vec<(u64, String)> =
-                pending.values().map(|p| (p.seq, p.line.clone())).collect();
-            drop(pending);
-            lines.sort_unstable();
-            for (_, line) in lines {
-                shared.forward(&line);
-            }
-        }
+        let stdin = child.stdin.take().expect("worker stdin is piped");
+        shared.attach(generation, Box::new(stdin));
         if shared.eof.load(Ordering::SeqCst) {
             lock_recover(&shared.child_in).take();
         }
@@ -300,16 +361,8 @@ pub fn run(opts: SupervisorOptions) -> ExitCode {
         if let Some(out) = child.stdout.take() {
             for line in BufReader::new(out).lines() {
                 let Ok(line) = line else { break };
-                let id = Value::parse(&line)
-                    .ok()
-                    .and_then(|doc| doc.get("id").cloned())
-                    .unwrap_or(Value::Null);
-                lock_recover(&shared.pending).remove(&id.to_string());
+                shared.relay(&line);
                 answered += 1;
-                match shared.annotate_health(&line) {
-                    Some(annotated) => shared.write_out(&annotated),
-                    None => shared.write_out(&line),
-                }
             }
         }
         lock_recover(&shared.child_in).take();
@@ -364,21 +417,106 @@ pub fn run(opts: SupervisorOptions) -> ExitCode {
     }
 }
 
-fn spawn_worker(opts: &SupervisorOptions, shared: &Shared) -> io::Result<Child> {
+fn spawn_worker(opts: &SupervisorOptions, restarts: u64) -> io::Result<Child> {
     let (program, args) = opts
         .worker_cmd
         .split_first()
         .ok_or_else(|| io::Error::other("empty worker command"))?;
-    let mut child = Command::new(program)
+    Command::new(program)
         .args(args)
         .env("EPGS_SUPERVISED", "1")
-        .env(
-            "EPGS_WORKER_RESTARTS",
-            shared.restarts.load(Ordering::SeqCst).to_string(),
-        )
+        .env("EPGS_WORKER_RESTARTS", restarts.to_string())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .spawn()?;
-    *lock_recover(&shared.child_in) = child.stdin.take();
-    Ok(child)
+        .spawn()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An in-memory pipe end standing in for a worker's stdin or the
+    /// client's stdout.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            lock_recover(&self.0).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Sink {
+        /// The `id` of every line written so far, in order.
+        fn ids(&self) -> Vec<u64> {
+            String::from_utf8(lock_recover(&self.0).clone())
+                .unwrap()
+                .lines()
+                .map(|l| Value::parse(l).unwrap().get("id").and_then(Value::as_u64))
+                .map(Option::unwrap)
+                .collect()
+        }
+    }
+
+    fn submit(shared: &Shared, id: u64) {
+        shared.submit(
+            format!("{{\"op\":\"status\",\"id\":{id}}}"),
+            Value::Num(id as f64),
+            None,
+        );
+    }
+
+    /// Publishes a worker's stdin without replaying, i.e. the first half of
+    /// [`Shared::attach`]: a request submitted now arrives inside the
+    /// respawn window, after the publish and before the replay.
+    fn publish(shared: &Shared, generation: u64, stdin: &Sink) {
+        *lock_recover(&shared.child_in) = Some(WorkerIn {
+            generation,
+            stdin: Box::new(stdin.clone()),
+        });
+    }
+
+    #[test]
+    fn a_request_arriving_during_respawn_is_forwarded_and_answered_once() {
+        let client = Sink::default();
+        let shared = Shared::new(2, Duration::from_millis(1), Box::new(client.clone()));
+
+        // First spawn: request 0 arrives between the publish and the
+        // replay, the window in which it used to be forwarded twice.
+        let first = Sink::default();
+        publish(&shared, 0, &first);
+        submit(&shared, 0);
+        shared.dispatch();
+        assert_eq!(first.ids(), [0]);
+
+        // The worker dies unanswered; request 1 arrives while none is alive.
+        lock_recover(&shared.child_in).take();
+        submit(&shared, 1);
+
+        // Respawn: request 2 arrives inside the window again. The new worker
+        // gets every unanswered request exactly once, in submission order.
+        let second = Sink::default();
+        publish(&shared, 1, &second);
+        submit(&shared, 2);
+        shared.dispatch();
+        assert_eq!(second.ids(), [0, 1, 2]);
+
+        // A request after the full attach goes straight through.
+        let third = Sink::default();
+        lock_recover(&shared.child_in).take();
+        shared.attach(2, Box::new(third.clone()));
+        submit(&shared, 3);
+        assert_eq!(third.ids(), [0, 1, 2, 3]);
+
+        // The worker answers each line it was sent: one reply per id.
+        for id in third.ids() {
+            shared.relay(&format!("{{\"id\":{id},\"ok\":true,\"op\":\"status\"}}"));
+        }
+        assert_eq!(client.ids(), [0, 1, 2, 3]);
+        assert!(lock_recover(&shared.pending).is_empty());
+    }
 }

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use epgs::{EmitterBudget, FrameworkConfig, Pipeline};
+use epgs::{FrameworkConfig, Pipeline};
 use epgs_graph::Graph;
 use epgs_hardware::HardwareModel;
 use epgs_solver::{solve_baseline, BaselineOptions};
@@ -50,13 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // bit-identical circuits. Use the pipeline when you want to hold on to
     // an intermediate artifact — every stage method takes `&self`, so one
     // expensive prefix can fan out into many cheap suffixes.
-    let pipeline = Pipeline::new(
-        FrameworkConfig::builder()
-            .g_max(7)
-            .lc_budget(15)
-            .emitter_budget(EmitterBudget::Factor(1.5))
-            .build(),
-    );
+    let pipeline = Pipeline::new(FrameworkConfig::builder().g_max(7).lc_budget(15).build());
 
     // Stage 1 — partition (§IV.A): split the target into blocks of at most
     // g_max vertices, using up to lc_budget local complementations to
@@ -89,9 +83,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("planned:   {} leaf plans", planned.plans().len());
 
     // Stage 3 — schedule (§IV.C): Tetris-pack the leaf circuits onto a
-    // shared timeline under the resolved emitter budget Ne_limit
-    // (1.5 × Ne_min here). Scheduling is the first budget-dependent stage,
-    // so an Ne_limit sweep calls `planned.schedule(b)` once per budget and
+    // shared timeline under an emitter budget Ne_limit — here the default
+    // ⌈1.5 × Ne_min⌉ that `Framework::compile` uses. Scheduling is the
+    // first budget-dependent stage, so an Ne_limit sweep (e.g. the paper's
+    // 1.5× and 2× Ne_min) calls `planned.schedule(b)` once per budget and
     // reuses everything upstream.
     let scheduled = planned.schedule(planned.configured_budget());
     println!(
@@ -106,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // degrade gracefully when partitioning doesn't pay — compete under the
     // configured CompileObjective. The default, `Emitters`, is the paper's
     // lexicographic (#ee-CNOT, then T_loss, then duration) order; configure
-    // `CompileObjective::Duration(hw)` or `::Loss(hw)` and platform timing
+    // `CompileObjective::Duration` and the timing of `config.hardware`
     // decides instead (the hardware_sweep bench bin builds one pipeline per
     // preset to do exactly that). The artifact records which strategy and
     // objective won.

@@ -59,7 +59,7 @@ fn staged_pipeline_equals_monolithic_compile_on_every_family() {
             .plan_leaves()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let staged = planned
-            .schedule(config.emitter_budget.resolve(planned.ne_min()))
+            .schedule(planned.configured_budget())
             .recombine()
             .and_then(|r| r.verify())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -162,9 +162,8 @@ fn direct_solve_only_pipeline_skips_partition_benefits_but_still_verifies() {
     let g = generators::tree(12, 2);
     let pipeline = Pipeline::new(config);
     let planned = pipeline.partition(&g).plan_leaves().unwrap();
-    let budget = pipeline.config().emitter_budget.resolve(planned.ne_min());
     let compiled = planned
-        .schedule(budget)
+        .schedule(planned.configured_budget())
         .recombine_with(&[RecombineStrategy::DirectSolve])
         .unwrap()
         .verify()

@@ -1,7 +1,7 @@
 //! Robustness and failure-injection tests: malformed inputs, adversarial
 //! configurations, and determinism guarantees across the public API surface.
 
-use epgs::{EmitterBudget, Framework, FrameworkConfig};
+use epgs::{Framework, FrameworkConfig};
 use epgs_circuit::simulate::{run, verify_circuit, ListedOutcomes};
 use epgs_graph::{generators, Graph};
 use epgs_hardware::HardwareModel;
@@ -25,22 +25,14 @@ fn absurdly_small_budget_still_produces_correct_circuits() {
     // An Absolute(1) budget on a graph needing 4 emitters: the solver grows
     // the pool as physics demands; the circuit stays correct.
     let g = generators::lattice(4, 4);
-    let fw = Framework::new(FrameworkConfig {
-        emitter_budget: EmitterBudget::Absolute(1),
-        ..FrameworkConfig::default()
-    });
-    let c = fw.compile(&g).unwrap();
+    let c = Framework::default().compile_with_budget(&g, 1).unwrap();
     assert!(verify_circuit(&c.circuit, &g).unwrap());
 }
 
 #[test]
 fn huge_budget_does_not_bloat_the_circuit_with_idle_emitter_gates() {
     let g = generators::path(6);
-    let fw = Framework::new(FrameworkConfig {
-        emitter_budget: EmitterBudget::Absolute(12),
-        ..FrameworkConfig::default()
-    });
-    let c = fw.compile(&g).unwrap();
+    let c = Framework::default().compile_with_budget(&g, 12).unwrap();
     // A path needs one working emitter; idle pool wires must stay silent.
     assert_eq!(c.metrics.ee_two_qubit_count, 0);
     assert!(verify_circuit(&c.circuit, &g).unwrap());
