@@ -31,6 +31,14 @@ fn worker_count(n: usize) -> usize {
     if IN_WORKER.with(Cell::get) {
         return 1;
     }
+    current_num_threads().min(n)
+}
+
+/// Size of the worker pool: the available parallelism, capped by
+/// `RAYON_NUM_THREADS`. Mirrors rayon's function of the same name, which
+/// callers use to size work chunks; like rayon it reports the pool size
+/// even when called from inside a worker.
+pub fn current_num_threads() -> usize {
     let cap = std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -40,7 +48,6 @@ fn worker_count(n: usize) -> usize {
         .map(|t| t.get())
         .unwrap_or(1)
         .min(cap)
-        .min(n)
 }
 
 /// Applies `f` to every item on a scoped worker pool; the result vector is

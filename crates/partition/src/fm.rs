@@ -158,26 +158,30 @@ pub fn fm_partition(
 ///
 /// The pair gain is evaluated in O(1) from `cnt` — `cnt[v·nb + b]` counts
 /// `v`'s neighbors in block `b` under the current assignment (the caller
-/// builds it; accepted swaps maintain it). With `adj = 1` iff `v ~ w`, the
-/// swapped costs are `deg − cnt[·]` with the partner's move folded in — the
-/// exact quantities the original per-pair neighborhood scans produced, so
-/// the same swaps are accepted in the same order.
+/// builds it; accepted swaps maintain it). Swapping `v ∈ bv` with
+/// `w ∈ bw` lowers the cut by `cnt[v][bw] − cnt[v][bv] + cnt[w][bv] −
+/// cnt[w][bw] − 2·adj`, with `adj = 1` iff `v ~ w` (that edge stays cut
+/// but is counted as gained from both ends). The edge term can only lower
+/// the gain, so pairs whose gain without it is ≤ 0 are skipped before the
+/// adjacency lookup; the same swaps are accepted in the same order as a
+/// full evaluation of every pair.
 fn swap_pass(csr: &Csr, assign: &mut [usize], cnt: &mut [isize], num_blocks: usize) -> bool {
     let n = assign.len();
     let mut swapped = false;
     for v in 0..n {
+        let rv = v * num_blocks;
         for w in (v + 1)..n {
             let (bv, bw) = (assign[v], assign[w]);
             if bv == bw {
                 continue;
             }
-            let deg_v = csr.nbrs(v).len() as isize;
-            let deg_w = csr.nbrs(w).len() as isize;
-            let before = (deg_v - cnt[v * num_blocks + bv]) + (deg_w - cnt[w * num_blocks + bw]);
+            let rw = w * num_blocks;
+            let gain = cnt[rv + bw] - cnt[rv + bv] + cnt[rw + bv] - cnt[rw + bw];
+            if gain <= 0 {
+                continue;
+            }
             let adj = csr.nbrs(v).binary_search(&w).is_ok() as isize;
-            let after =
-                (deg_v - cnt[v * num_blocks + bw] + adj) + (deg_w - cnt[w * num_blocks + bv] + adj);
-            if after < before {
+            if gain > 2 * adj {
                 swapped = true;
                 assign[v] = bw;
                 assign[w] = bv;
@@ -308,6 +312,101 @@ mod tests {
         let a = fm_partition(&g, 3, 5, 6, 9);
         let b = fm_partition(&g, 3, 5, 6, 9);
         assert_eq!(a, b);
+    }
+
+    /// The swap pass as it was before the gain pre-check: every cross-block
+    /// pair pays the adjacency lookup and is evaluated in full. The oracle
+    /// for [`swap_pass`].
+    fn swap_pass_full(
+        csr: &Csr,
+        assign: &mut [usize],
+        cnt: &mut [isize],
+        num_blocks: usize,
+    ) -> bool {
+        let n = assign.len();
+        let mut swapped = false;
+        for v in 0..n {
+            for w in (v + 1)..n {
+                let (bv, bw) = (assign[v], assign[w]);
+                if bv == bw {
+                    continue;
+                }
+                let deg_v = csr.nbrs(v).len() as isize;
+                let deg_w = csr.nbrs(w).len() as isize;
+                let before =
+                    (deg_v - cnt[v * num_blocks + bv]) + (deg_w - cnt[w * num_blocks + bw]);
+                let adj = csr.nbrs(v).binary_search(&w).is_ok() as isize;
+                let after = (deg_v - cnt[v * num_blocks + bw] + adj)
+                    + (deg_w - cnt[w * num_blocks + bv] + adj);
+                if after < before {
+                    swapped = true;
+                    assign[v] = bw;
+                    assign[w] = bv;
+                    for &u in csr.nbrs(v) {
+                        cnt[u * num_blocks + bv] -= 1;
+                        cnt[u * num_blocks + bw] += 1;
+                    }
+                    for &u in csr.nbrs(w) {
+                        cnt[u * num_blocks + bw] -= 1;
+                        cnt[u * num_blocks + bv] += 1;
+                    }
+                }
+            }
+        }
+        swapped
+    }
+
+    #[test]
+    fn swap_pass_matches_full_pair_evaluation() {
+        use epgs_graph::generators::{complete, lattice, random_regular, tree, waxman};
+        let mut cases = 0;
+        for seed in 0..14u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graphs = [
+                lattice(4, 3 + seed as usize % 8),
+                tree(15 + 5 * seed as usize, 2),
+                waxman(16 + 2 * seed as usize, 0.9, 0.6, &mut rng),
+                random_regular(20 + 4 * seed as usize, 3, &mut rng),
+                complete(5 + seed as usize % 7),
+            ];
+            for g in &graphs {
+                let n = g.vertex_count();
+                let csr = Csr::new(g);
+                // Capacity-tight (every block but the last full), loose, and
+                // many-small-blocks assignments.
+                for g_max in [n.div_ceil(2), n.div_ceil(3), 4] {
+                    let num_blocks = n.div_ceil(g_max);
+                    let mut perm: Vec<usize> = (0..n).collect();
+                    perm.shuffle(&mut rng);
+                    let mut assign = vec![0; n];
+                    for (i, &v) in perm.iter().enumerate() {
+                        assign[v] = (i / g_max).min(num_blocks - 1);
+                    }
+                    let mut cnt = vec![0isize; n * num_blocks];
+                    for v in 0..n {
+                        for &w in csr.nbrs(v) {
+                            cnt[v * num_blocks + assign[w]] += 1;
+                        }
+                    }
+                    let (mut assign_ref, mut cnt_ref) = (assign.clone(), cnt.clone());
+                    cases += 1;
+                    // Repeat to the fixed point so late passes, where few
+                    // pairs gain, are compared too.
+                    loop {
+                        let swapped = swap_pass(&csr, &mut assign, &mut cnt, num_blocks);
+                        let swapped_ref =
+                            swap_pass_full(&csr, &mut assign_ref, &mut cnt_ref, num_blocks);
+                        assert_eq!(swapped, swapped_ref, "seed {seed}, n {n}, g_max {g_max}");
+                        assert_eq!(assign, assign_ref, "seed {seed}, n {n}, g_max {g_max}");
+                        assert_eq!(cnt, cnt_ref, "seed {seed}, n {n}, g_max {g_max}");
+                        if !swapped {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases >= 200, "only {cases} assignments compared");
     }
 
     #[test]

@@ -261,19 +261,22 @@ pub fn coarsen(wg: &WeightedGraph, w_cap: u64, seed: u64) -> Option<(WeightedGra
     for v in 0..n {
         vwts[map[v]] += wg.vwts[v];
     }
-    let mut members: Vec<Vec<usize>> = vec![Vec::with_capacity(2); nc];
-    for v in 0..n {
-        members[map[v]].push(v);
-    }
     let mut offsets = Vec::with_capacity(nc + 1);
     let mut nbrs = Vec::new();
     let mut ewts = Vec::new();
     let mut buf: Vec<(usize, u64)> = Vec::new();
     offsets.push(0);
-    for (c, folded) in members.iter().enumerate() {
+    // Coarse vertex `c` is the smaller endpoint `v` of its pair (ids were
+    // handed out in that order above), plus its mate if it has one.
+    for v in 0..n {
+        let mate_v = mate[v];
+        if mate_v < v {
+            continue; // folded into its smaller mate's coarse vertex
+        }
+        let c = map[v];
         buf.clear();
-        for &v in folded {
-            for (w, ew) in wg.edges_of(v) {
+        for u in std::iter::once(v).chain((mate_v != usize::MAX).then_some(mate_v)) {
+            for (w, ew) in wg.edges_of(u) {
                 let cw = map[w];
                 if cw != c {
                     buf.push((cw, ew));
@@ -748,15 +751,22 @@ fn swap_pass(
             if new_v > g_max.max(loads[bv]) || new_w > g_max.max(loads[bw]) {
                 continue;
             }
-            // Direct v–w edge weight (0 when the pair only shares a
-            // neighbor); counted as a gain by both scans below but still
-            // cut after the swap, so it is subtracted twice.
-            let adj = wg
-                .edges_of(v)
-                .find(|&(x, _)| x == w)
-                .map_or(0, |(_, ew)| ew);
-            conn.gather(wg, w, assign);
-            let gain_w = conn.get(bv) as i64 - conn.get(bw) as i64;
+            // One scan of `w`'s edges yields its gain and the direct v–w
+            // edge weight (0 when the pair only shares a neighbor), which
+            // both gains count but stays cut after the swap, so it is
+            // subtracted twice.
+            let (mut gain_w, mut adj) = (0i64, 0u64);
+            for (x, ew) in wg.edges_of(w) {
+                if x == v {
+                    adj = ew;
+                }
+                let bx = assign[x];
+                if bx == bv {
+                    gain_w += ew as i64;
+                } else if bx == bw {
+                    gain_w -= ew as i64;
+                }
+            }
             if gain_v + gain_w - 2 * adj as i64 > 0 {
                 loads[bv] = new_v;
                 loads[bw] = new_w;
